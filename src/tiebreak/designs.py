@@ -164,9 +164,6 @@ class TieBreaker:
         if not 0.0 < self.p < 1.0:
             raise DomainError("p must lie strictly inside (0, 1)")
 
-    def as_interval(self) -> "IntervalRule":
-        return IntervalRule(-self.delta, self.delta, self.p)
-
 
 @dataclass(frozen=True)
 class IntervalRule:
@@ -309,22 +306,10 @@ class SlidingScale:
     @classmethod
     def from_rule(cls, rule) -> "SlidingScale":
         """Express a window rule as its (step) probability scale."""
-        if isinstance(rule, TieBreaker):
-            rule = rule.as_interval()
-        if isinstance(rule, IntervalRule):
-            lo, hi, mid = rule.a, rule.b, rule.p
-            bottom, top = 0.0, 1.0
-        elif isinstance(rule, ThreeLevelRule):
-            lo, hi, mid = -rule.delta, rule.delta, 0.5
-            bottom, top = rule.epsilon, 1.0 - rule.epsilon
-        else:
+        if not isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
             raise DomainError(f"cannot express {type(rule).__name__} as a scale")
-
-        def step(x, lo=lo, hi=hi, mid=mid, bottom=bottom, top=top):
-            x = np.asarray(x, dtype=float)
-            return np.where(x >= hi, top, np.where(x <= lo, bottom, mid))
-
-        return cls(step, breakpoints=(lo, hi))
+        levels = _step_levels(rule)
+        return cls(lambda x: _step(x, *levels), breakpoints=levels[:2])
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -364,6 +349,26 @@ class SlidingScale:
 DesignRule = Union[TieBreaker, IntervalRule, ThreeLevelRule, SlidingScale, ScoreThresholdRule]
 
 
+def _step(x, lo, hi, bottom, mid, top):
+    """The three-region rule: top for x >= hi, bottom for x <= lo, mid between."""
+    return np.where(x >= hi, top, np.where(x <= lo, bottom, mid))
+
+
+def _step_levels(rule, distribution: AssignmentDistribution | None = None):
+    """(lo, hi, bottom, mid, top) of a window rule's treatment probability."""
+    if isinstance(rule, (TieBreaker, ThreeLevelRule)):
+        dist = distribution or AssignmentDistribution.uniform_rank()
+        lo, hi = dist.central_window(rule.delta)
+        if isinstance(rule, TieBreaker):
+            return lo, hi, 0.0, rule.p, 1.0
+        return lo, hi, rule.epsilon, 0.5, 1.0 - rule.epsilon
+    if isinstance(rule, IntervalRule):
+        return rule.a, rule.b, 0.0, rule.p, 1.0
+    if isinstance(rule, ScoreThresholdRule):
+        return -rule.delta, rule.delta, 0.0, rule.p, 1.0
+    raise DomainError(f"unknown rule type {type(rule).__name__}")
+
+
 def treatment_probability(x, rule: DesignRule,
                           distribution: AssignmentDistribution | None = None):
     """Pr(z = +1 | x) under a rule, on the distribution's own x scale.
@@ -372,23 +377,15 @@ def treatment_probability(x, rule: DesignRule,
     the population, so its x-space location depends on the distribution
     (plus or minus delta on the rank scale, quantiles of the Gaussian).
     IntervalRule and ScoreThresholdRule windows are literal x thresholds.
+    A SlidingScale is defined on the rank scale [-1, 1], so applying one
+    to standard-gaussian scores raises DomainError.
     """
     arr = np.asarray(x, dtype=float)
     if isinstance(rule, SlidingScale):
+        if distribution is not None and distribution.kind == STANDARD_GAUSSIAN:
+            raise DomainError("a sliding scale is defined on the rank scale "
+                              "[-1, 1] and cannot assign standard-gaussian scores")
         out = rule(arr)
-    elif isinstance(rule, (TieBreaker, ThreeLevelRule)):
-        dist = distribution or AssignmentDistribution.uniform_rank()
-        lo, hi = dist.central_window(rule.delta)
-        if isinstance(rule, TieBreaker):
-            bottom, mid, top = 0.0, rule.p, 1.0
-        else:
-            bottom, mid, top = rule.epsilon, 0.5, 1.0 - rule.epsilon
-        out = np.where(arr >= hi, top, np.where(arr <= lo, bottom, mid))
-    elif isinstance(rule, IntervalRule):
-        out = np.where(arr >= rule.b, 1.0, np.where(arr <= rule.a, 0.0, rule.p))
-    elif isinstance(rule, ScoreThresholdRule):
-        out = np.where(arr >= rule.delta, 1.0,
-                       np.where(arr <= -rule.delta, 0.0, rule.p))
     else:
-        raise DomainError(f"unknown rule type {type(rule).__name__}")
+        out = _step(arr, *_step_levels(rule, distribution))
     return float(out) if arr.ndim == 0 else np.asarray(out, dtype=float)

@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import kernels
-from .designs import ScoreThresholdRule
+from .designs import ScoreThresholdRule, _step
 from .errors import DomainError, NoFeasibleDesignError
 
 CONDITION_LIMIT = 1e12
@@ -109,27 +108,25 @@ def _feature_values(features) -> np.ndarray:
     return vals
 
 
-def expected_weights(features, rule: ScoreThresholdRule, jit: bool | None = None) -> np.ndarray:
-    """Expected arm E[z_i] for each subject under the threshold rule."""
+def expected_weights(features, rule: ScoreThresholdRule) -> np.ndarray:
+    """Expected arm E[z_i] for each subject under the threshold rule:
+    +1 / -1 outside the window, 2p - 1 inside."""
     vals = _feature_values(features)
     theta = rule.theta_array
     if theta.size != vals.shape[1]:
         raise DomainError(f"theta has {theta.size} entries for "
                           f"{vals.shape[1]} feature columns")
     scores = vals @ theta
-    return kernels(jit).region_weights(np.ascontiguousarray(scores),
-                                       rule.delta, rule.p)
+    return _step(scores, -rule.delta, rule.delta, -1.0, 2.0 * rule.p - 1.0, 1.0)
 
 
-def assemble_blocks(features, weights: np.ndarray,
-                    jit: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
+def assemble_blocks(features, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram blocks of the joint fit: A = sum F F' and B = sum w F F'."""
     vals = _feature_values(features)
     w = np.ascontiguousarray(weights, dtype=float)
     if w.shape != (vals.shape[0],):
         raise DomainError("need one weight per subject")
-    ker = kernels(jit)
-    return vals.T @ vals, ker.weighted_gram(np.ascontiguousarray(vals), w)
+    return vals.T @ vals, vals.T @ (w[:, None] * vals)
 
 
 @dataclass(frozen=True)
@@ -188,8 +185,7 @@ def _infeasible(rule, n, reason) -> DesignEvaluation:
     return DesignEvaluation(rule=rule, n=n, feasible=False, reason=reason)
 
 
-def evaluate_design(features, rule: ScoreThresholdRule,
-                    jit: bool | None = None) -> DesignEvaluation:
+def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     """Precision of the interaction fit under one threshold rule.
 
     Var(g-hat) = (A - B A^-1 B)^-1 and Cov(b-hat, g-hat)
@@ -199,12 +195,12 @@ def evaluate_design(features, rule: ScoreThresholdRule,
     """
     vals = _feature_values(features)
     n = vals.shape[0]
-    w = expected_weights(vals, rule, jit=jit)
+    w = expected_weights(vals, rule)
     if np.all(w <= -1.0):
         return _infeasible(rule, n, "no treated subjects")
     if np.all(w >= 1.0):
         return _infeasible(rule, n, "no control subjects")
-    a, b = assemble_blocks(vals, w, jit=jit)
+    a, b = assemble_blocks(vals, w)
     if not np.all(np.isfinite(a)) or np.linalg.cond(a) > CONDITION_LIMIT:
         return _infeasible(rule, n, "feature Gram matrix is ill-conditioned")
     try:
@@ -248,8 +244,7 @@ class SearchResult:
 def design_search(features, thetas: Sequence[Sequence[float]],
                   deltas: Sequence[float], ps: Sequence[float] = (0.5,),
                   criterion: str = "trace",
-                  contrast: Sequence[float] | None = None,
-                  jit: bool | None = None) -> list[SearchResult]:
+                  contrast: Sequence[float] | None = None) -> list[SearchResult]:
     """Rank every (theta, delta, p) candidate by a precision criterion.
 
     Returns feasible candidates sorted ascending (smaller is better),
@@ -266,7 +261,7 @@ def design_search(features, thetas: Sequence[Sequence[float]],
         for di, delta in enumerate(deltas):
             for pi, p in enumerate(ps):
                 rule = ScoreThresholdRule(tuple(theta), float(delta), float(p))
-                ev = evaluate_design(vals, rule, jit=jit)
+                ev = evaluate_design(vals, rule)
                 if not ev.feasible:
                     continue
                 value = ev.criterion_value(criterion, contrast=contrast)

@@ -6,7 +6,7 @@ and the scatter of the fitted coefficients across replicates estimates
 N Var(bhat). The replicate streams are counter-based: replicate r of a
 run seeded s uses the generator keyed (s, r), so any replicate can be
 reproduced alone, the full run is independent of execution order, and
-two runs with the same seed agree bit for bit on the same kernel path.
+two runs with the same seed agree bit for bit.
 
 Within a replicate the draw order is fixed: one uniform per subject for
 the arms, then one normal per subject for the noise.
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import kernels
 from .covariance import CoefCovariance, QUADRATIC_LABELS, TWOLINE_LABELS
 from .designs import (AssignmentDistribution, DesignRule, IntervalRule,
                       STANDARD_GAUSSIAN, SlidingScale, ThreeLevelRule,
@@ -137,8 +136,7 @@ def _plu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray,
-            gram: np.ndarray | None = None,
-            jit: bool | None = None) -> np.ndarray:
+            gram: np.ndarray | None = None) -> np.ndarray:
     """Least-squares coefficients of the joint fit, in natural order.
 
     The regressors are [F | zF]; because z^2 = 1 both diagonal Gram
@@ -146,8 +144,9 @@ def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray,
     Pass gram=F'F to amortize it across replicates.
     """
     f = np.ascontiguousarray(features, dtype=float)
-    bz, cf, cz = kernels(jit).z_gram_rhs(f, np.ascontiguousarray(z, dtype=float),
-                                         np.ascontiguousarray(y, dtype=float))
+    y = np.ascontiguousarray(y, dtype=float)
+    zf = np.ascontiguousarray(z, dtype=float)[:, None] * f
+    bz, cf, cz = f.T @ zf, f.T @ y, zf.T @ y
     a = f.T @ f if gram is None else gram
     d = f.shape[1]
     g = np.empty((2 * d, 2 * d))
@@ -284,7 +283,7 @@ def closed_form_reference(config: SimConfig) -> CoefCovariance:
     raise DomainError("no closed-form reference for this configuration")
 
 
-def run_simulation(config: SimConfig, jit: bool | None = None,
+def run_simulation(config: SimConfig,
                    reference: CoefCovariance | None = None,
                    require_reference: bool = False) -> SimReport:
     """Run the replicates and compare against the closed form.
@@ -319,7 +318,7 @@ def run_simulation(config: SimConfig, jit: bool | None = None,
         y = simulate_outcomes(rng, features, z, baseline, interaction,
                               config.sigma)
         try:
-            coefs[used] = ols_fit(features, z, y, gram=gram, jit=jit)
+            coefs[used] = ols_fit(features, z, y, gram=gram)
             used += 1
         except RankDeficientError:
             degenerate += 1

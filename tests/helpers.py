@@ -46,20 +46,6 @@ def brute_weighted_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray
     return out
 
 
-def brute_z_gram_rhs(features, z, y):
-    n, d = features.shape
-    bz = np.zeros((d, d))
-    cf = np.zeros(d)
-    cz = np.zeros(d)
-    for i in range(n):
-        for a in range(d):
-            cf[a] += features[i, a] * y[i]
-            cz[a] += z[i] * features[i, a] * y[i]
-            for b in range(d):
-                bz[a, b] += z[i] * features[i, a] * features[i, b]
-    return bz, cf, cz
-
-
 def simpson_normal_cdf(z: float, panels: int = 400) -> float:
     """Phi(z) by composite Simpson over [0, z], plus one half."""
     if z == 0.0:

@@ -239,6 +239,15 @@ class TestSimulate:
         assert payload["rule"]["type"] == "SlidingScale"
         assert payload["max_dev_se"] < 4.0
 
+    def test_sliding_scale_on_gaussian_scores_exits_2(self, runner, tmp_path):
+        path = tmp_path / "scale.csv"
+        path.write_text("x,p\n-1.0,0.0\n1.0,1.0\n")
+        result = runner.invoke(main, ["simulate", "--scale", str(path),
+                                      "--distribution", "standard-gaussian",
+                                      "--n", "400", "--reps", "10"])
+        assert result.exit_code == 2
+        assert "rank scale" in result.output
+
     def test_window_flag_conflicts_exit_2(self, runner):
         result = runner.invoke(main, ["simulate", "--a", "0.2"])
         assert result.exit_code == 2

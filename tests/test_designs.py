@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiebreak import normal
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
@@ -8,6 +9,7 @@ from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               rank_transform, subject_ranks,
                               treatment_probability)
 from tiebreak.errors import DomainError
+from tiebreak.general import FeatureMatrix, expected_weights
 
 
 def test_rank_transform_grid():
@@ -150,6 +152,14 @@ def test_gaussian_window_probability():
     assert treatment_probability(0.0, rule, dist) == 0.5
 
 
+def test_sliding_scale_on_gaussian_scores_is_refused():
+    scale = SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0])
+    x = np.array([-2.0, 0.0, 2.0])
+    with pytest.raises(DomainError):
+        treatment_probability(x, scale, AssignmentDistribution.standard_gaussian())
+    np.testing.assert_allclose(treatment_probability(x, scale), [0.0, 0.5, 1.0])
+
+
 def test_sliding_scale_table_interpolation():
     scale = SlidingScale.from_table([-0.5, 0.5], [0.2, 0.8])
     assert scale(0.0) == pytest.approx(0.5)
@@ -234,3 +244,55 @@ def test_interval_rule_probability_is_literal():
     x = np.array([-0.3, -0.2, 0.0, 0.6, 0.7])
     np.testing.assert_allclose(treatment_probability(x, rule),
                                [0.0, 0.0, 0.5, 1.0, 1.0])
+
+
+# Property tests of the three-region step rule.
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+unit = st.floats(0.0, 1.0)
+coin = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+window_rules = st.one_of(
+    st.builds(TieBreaker, unit, coin),
+    st.builds(lambda ends, p: IntervalRule(min(ends), max(ends), p),
+              st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), coin),
+    st.builds(ThreeLevelRule, unit, st.floats(0.0, 0.5, exclude_max=True)),
+)
+
+
+def _edges_and_neighbours(lo, hi):
+    return [v for edge in (lo, hi)
+            for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
+
+
+def _rank_window(rule):
+    """(lo, hi, bottom, mid, top) of a window rule on the rank scale."""
+    if isinstance(rule, IntervalRule):
+        return rule.a, rule.b, 0.0, rule.p, 1.0
+    if isinstance(rule, TieBreaker):
+        return -rule.delta, rule.delta, 0.0, rule.p, 1.0
+    return -rule.delta, rule.delta, rule.epsilon, 0.5, 1.0 - rule.epsilon
+
+
+@PROPERTY
+@given(window_rules, st.lists(st.floats(-1.5, 1.5), max_size=20))
+def test_window_rule_probability_matches_its_scale(rule, extra):
+    lo, hi, bottom, mid, top = _rank_window(rule)
+    x = np.array(_edges_and_neighbours(lo, hi) + [0.0] + extra)
+    got = treatment_probability(x, rule)
+    want = [top if v >= hi else bottom if v <= lo else mid for v in x]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, SlidingScale.from_rule(rule)(x))
+
+
+@PROPERTY
+@given(st.floats(0.0, 2.0), coin, st.lists(st.floats(-3.0, 3.0), max_size=20),
+       st.floats(-2.0, 2.0).filter(lambda v: v != 0.0))
+def test_expected_weights_are_twice_the_probability_less_one(delta, p, extra, slope):
+    scores = np.array(_edges_and_neighbours(-delta, delta) + [0.0] + extra)
+    fm = FeatureMatrix.from_array(np.column_stack([np.ones_like(scores), scores]))
+    for theta in ((0.0, 1.0), (0.25, slope)):
+        rule = ScoreThresholdRule(theta, delta, p)
+        s = fm.values @ rule.theta_array
+        np.testing.assert_array_equal(expected_weights(fm, rule),
+                                      2.0 * treatment_probability(s, rule) - 1.0)

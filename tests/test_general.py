@@ -57,6 +57,12 @@ def test_expected_weights_regions():
     rule = ScoreThresholdRule((0.0, 1.0), 1.0, p=0.75)
     np.testing.assert_allclose(expected_weights(fm, rule),
                                [-1.0, 0.5, 0.5, 0.5, 1.0])
+    # Scores exactly on the window edges take the deterministic arms.
+    edges = FeatureMatrix.from_array(
+        np.array([[1.0, -0.5], [1.0, 0.0], [1.0, 0.5]]))
+    np.testing.assert_array_equal(
+        expected_weights(edges, ScoreThresholdRule((0.0, 1.0), 0.5, p=0.25)),
+        [-1.0, -0.5, 1.0])
     with pytest.raises(DomainError):
         expected_weights(fm, ScoreThresholdRule((1.0, 0.0, 0.0), 0.5))
 

@@ -241,13 +241,6 @@ class TestRunSimulation:
         assert np.array_equal(first.empirical, second.empirical)
         assert np.array_equal(first.coef_mean, second.coef_mean)
 
-    def test_kernel_paths_agree(self):
-        config = mc.SimConfig(rule=TieBreaker(0.5), n=400, reps=60, seed=9)
-        plain = mc.run_simulation(config, jit=False)
-        fast = mc.run_simulation(config, jit=True)
-        np.testing.assert_allclose(plain.empirical, fast.empirical,
-                                   rtol=1e-9, atol=1e-9)
-
     def test_sigma_scales_covariances(self):
         base = mc.SimConfig(rule=TieBreaker(0.5), n=400, reps=80, seed=2)
         loud = mc.SimConfig(rule=TieBreaker(0.5), n=400, reps=80, seed=2,
