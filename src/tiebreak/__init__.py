@@ -10,7 +10,8 @@ extends the analysis to sliding probability scales and multivariate
 eligibility scores, and checks every formula by simulation.
 """
 
-from .covariance import CoefCovariance, QUADRATIC_LABELS, TWOLINE_LABELS
+from .covariance import (CoefCovariance, QUADRATIC_LABELS, TWOLINE_LABELS,
+                         design_covariance)
 from .designs import (AssignmentDistribution, IntervalRule, ScoreThresholdRule,
                       SlidingScale, ThreeLevelRule, TieBreaker, load_scores,
                       rank_transform, subject_ranks, treatment_probability)
@@ -22,16 +23,13 @@ from .general import (DesignEvaluation, FeatureMatrix, SearchResult,
 from .mc import (SimConfig, SimReport, closed_form_reference,
                  empirical_covariance, ols_fit, run_simulation,
                  sample_assignment, simulate_outcomes)
-from .moments import (DesignMoments, central_zx_mean, central_zx3_mean,
-                      gaussian_zx_mean, interval_moments, rule_moments,
-                      sliding_moments, three_level_zx_mean)
-from .quadratic import (covariance_quadratic, quadratic_blocks,
-                        var_gain_quadratic, xtx_quadratic)
+from .moments import (DesignMoments, central_zx_mean, design_moments,
+                      gaussian_zx_mean, rule_moments, sliding_moments)
+from .quadratic import covariance_quadratic, var_gain_quadratic
 from .sliding import (SlidingVariances, equivalent_tiebreaker,
                       full_covariance_sliding, moment_determinant,
                       symmetrize, variances_sliding)
-from .twoline import (MomentSchur, covariance_from_moments,
-                      covariance_gaussian, covariance_uniform,
+from .twoline import (covariance_gaussian, covariance_uniform,
                       efficiency_vs_rdd, experimentation_cost, gain,
                       min_delta_for_fraction, noncentral_covariance,
                       optimal_delta, precision, value, var_gain_at_x)
@@ -41,23 +39,22 @@ __version__ = "0.1.0"
 __all__ = [
     "AssignmentDistribution", "CoefCovariance", "DegenerateDesignError",
     "DesignEvaluation", "DesignMoments", "DomainError", "FeatureMatrix",
-    "IntervalRule", "MomentSchur", "NoFeasibleDesignError",
+    "IntervalRule", "NoFeasibleDesignError",
     "QUADRATIC_LABELS", "RankDeficientError", "ScoreThresholdRule",
     "SearchResult", "SimConfig", "SimReport", "SlidingScale",
     "SlidingVariances", "TWOLINE_LABELS", "ThreeLevelRule", "TieBreaker",
-    "assemble_blocks", "central_zx_mean", "central_zx3_mean",
-    "closed_form_reference", "covariance_from_moments",
+    "assemble_blocks", "central_zx_mean", "closed_form_reference",
     "covariance_gaussian", "covariance_quadratic", "covariance_uniform",
-    "design_search", "efficiency_vs_rdd", "empirical_covariance",
+    "design_covariance", "design_moments", "design_search",
+    "efficiency_vs_rdd", "empirical_covariance",
     "equivalent_tiebreaker", "evaluate_design", "expected_weights",
     "experimentation_cost", "full_covariance_sliding",
     "fully_randomized_covariance", "gain", "gaussian_zx_mean",
-    "interval_moments", "load_scores", "min_delta_for_fraction",
+    "load_scores", "min_delta_for_fraction",
     "moment_determinant", "noncentral_covariance", "ols_fit",
-    "optimal_delta", "precision", "quadratic_blocks", "rank_transform",
+    "optimal_delta", "precision", "rank_transform",
     "rule_moments", "run_simulation", "sample_assignment",
     "simulate_outcomes", "sliding_moments", "subject_ranks", "symmetrize",
-    "three_level_zx_mean", "treatment_probability", "value",
-    "var_gain_at_x", "var_gain_quadratic", "variances_sliding",
-    "xtx_quadratic",
+    "treatment_probability", "value", "var_gain_at_x",
+    "var_gain_quadratic", "variances_sliding",
 ]

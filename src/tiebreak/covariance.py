@@ -1,8 +1,14 @@
-"""Labeled coefficient covariance matrices.
+"""The covariance engine and its labeled result.
 
-Every analytic covariance in this package is reported on the N-scaled
-convention: entries are N * Var(coefficient estimate) in units of sigma^2,
-so they are finite limits independent of the sample size.
+The joint fit regresses the outcome on [F | zF], with F = [1, x] (two
+lines) or [1, x, x^2] (two quadratics). Its Gram matrix is
+[[A, B], [B, A]] with A = E[F F'] and B = E[w F F'], w the expected arm,
+and its inverse is [[V, C], [C', V]] with V the inverse of the Schur
+complement A - B A^-1 B and C = -A^-1 B V. Every analytic covariance in
+this package is that inverse, reported on the N-scaled convention:
+entries are N * Var(coefficient estimate) in units of sigma^2, so they
+are finite limits independent of the sample size. The finite-sample
+design evaluator calls the same Schur inverse with sample sums.
 """
 
 from __future__ import annotations
@@ -11,10 +17,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .designs import AssignmentDistribution
 from .errors import DegenerateDesignError, DomainError
+from .moments import design_moments
+
+TWOLINE = "twoline"
+QUADRATIC = "quadratic"
 
 TWOLINE_LABELS = ("beta0", "beta1", "beta2", "beta3")
 QUADRATIC_LABELS = ("beta0", "beta1", "beta2", "beta3", "beta4", "beta5")
+
+# The joint fit solves for the baseline coefficients first and the arm
+# interactions second; this maps the quadratic fit order
+# (b0, b1, b4, b2, b3, b5) back to natural order.
+_QUADRATIC_FIT_TO_NATURAL = (0, 1, 3, 4, 2, 5)
+
+# A Gram block or Schur complement with a larger condition number is
+# treated as singular: the design carries no usable information.
+CONDITION_LIMIT = 1e12
+
+# Population moments are scaled by 15 before the Schur inverse, and the
+# result scaled back. On the rank scale E[x^k] = 1/(k + 1) for even k, so
+# the Gram entries 1, 1/3, 1/5 become the integers 15, 5, 3, and the
+# paper's endpoint designs (sharp cut-off, full randomization) come out
+# exact: N Var(b3) = 12 at the cut-off, not 12 plus a rounding error.
+_MOMENT_SCALE = 15.0
 
 _SYM_TOL = 1e-12
 
@@ -78,3 +105,67 @@ class CoefCovariance:
             "n_scaled": self.n_scaled,
             "matrix": [[float(v) for v in row] for row in self.matrix],
         }
+
+
+def model_labels(model: str) -> tuple[str, ...]:
+    if model == TWOLINE:
+        return TWOLINE_LABELS
+    if model == QUADRATIC:
+        return QUADRATIC_LABELS
+    raise DomainError(f"unknown model {model!r}")
+
+
+def schur_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, C) of the joint fit with Gram [[A, B], [B, A]].
+
+    V = (A - B A^-1 B)^-1 is the covariance of the interaction
+    coefficients and C = -A^-1 B V their covariance with the baseline
+    ones. Raises DegenerateDesignError, with the reason, when A or the
+    Schur complement is ill-conditioned or singular.
+    """
+    if not np.all(np.isfinite(a)) or np.linalg.cond(a) > CONDITION_LIMIT:
+        raise DegenerateDesignError("feature Gram matrix is ill-conditioned")
+    try:
+        a_inv_b = np.linalg.solve(a, b)
+        schur = a - b @ a_inv_b
+        schur = 0.5 * (schur + schur.T)
+        if np.linalg.cond(schur) > CONDITION_LIMIT:
+            raise DegenerateDesignError(
+                "design is ill-conditioned: expected arms nearly "
+                "reproduce the features")
+        var = np.linalg.inv(schur)
+        var = 0.5 * (var + var.T)
+    except np.linalg.LinAlgError:
+        raise DegenerateDesignError("singular normal equations") from None
+    return var, -a_inv_b @ var
+
+
+def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovariance:
+    """Covariance of the joint fit from E[x^k] and E[w x^k], k = 0..2 * degree.
+
+    A and B are the Hankel matrices of the two sequences, which may run
+    past 2 * degree (the extra terms are unused); the result is in
+    natural label order.
+    """
+    labels = model_labels(model)
+    d = len(labels) // 2
+    idx = np.add.outer(np.arange(d), np.arange(d))
+    var, cross = schur_inverse(_MOMENT_SCALE * np.asarray(x_moments, dtype=float)[idx],
+                               _MOMENT_SCALE * np.asarray(w_moments, dtype=float)[idx])
+    full = np.empty((2 * d, 2 * d))
+    full[:d, :d] = full[d:, d:] = _MOMENT_SCALE * var
+    full[:d, d:] = _MOMENT_SCALE * cross
+    full[d:, :d] = full[:d, d:].T
+    if model == QUADRATIC:
+        full = full[np.ix_(_QUADRATIC_FIT_TO_NATURAL, _QUADRATIC_FIT_TO_NATURAL)]
+    return CoefCovariance(labels, full)
+
+
+def design_covariance(rule, distribution: AssignmentDistribution | None = None,
+                      model: str = TWOLINE) -> CoefCovariance:
+    """N-scaled covariance of the two-line or quadratic fit under a rule.
+
+    Covers every rule design_moments covers: window rules on the uniform
+    rank and standard-gaussian scales, sliding scales on the rank scale.
+    """
+    return moment_covariance(*design_moments(rule, distribution), model)

@@ -257,6 +257,12 @@ class SlidingScale:
 
     @classmethod
     def from_callable(cls, func: Callable, breakpoints: Sequence[float] = ()) -> "SlidingScale":
+        """A scale from a scalar function of x.
+
+        Every jump or kink of func must be declared as a breakpoint: the
+        moments integrate each piece between breakpoints with a fixed
+        Gauss-Legendre rule, which is accurate only where func is smooth.
+        """
         vec = np.vectorize(func, otypes=[float])
         return cls(lambda x: vec(x), breakpoints)
 

@@ -20,10 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .covariance import CONDITION_LIMIT, schur_inverse
 from .designs import ScoreThresholdRule, _step
-from .errors import DomainError, NoFeasibleDesignError
-
-CONDITION_LIMIT = 1e12
+from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
 
 CRITERIA = ("trace", "log-det", "contrast")
 
@@ -200,22 +199,10 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
         return _infeasible(rule, n, "no treated subjects")
     if np.all(w >= 1.0):
         return _infeasible(rule, n, "no control subjects")
-    a, b = assemble_blocks(vals, w)
-    if not np.all(np.isfinite(a)) or np.linalg.cond(a) > CONDITION_LIMIT:
-        return _infeasible(rule, n, "feature Gram matrix is ill-conditioned")
     try:
-        a_inv_b = np.linalg.solve(a, b)
-        schur = a - b @ a_inv_b
-        schur = 0.5 * (schur + schur.T)
-        if np.linalg.cond(schur) > CONDITION_LIMIT:
-            return _infeasible(
-                rule, n, "design is ill-conditioned: expected arms nearly "
-                "reproduce the features")
-        var_gamma = np.linalg.inv(schur)
-        var_gamma = 0.5 * (var_gamma + var_gamma.T)
-    except np.linalg.LinAlgError:
-        return _infeasible(rule, n, "singular normal equations")
-    cov_cross = -a_inv_b @ var_gamma
+        var_gamma, cov_cross = schur_inverse(*assemble_blocks(vals, w))
+    except DegenerateDesignError as exc:
+        return _infeasible(rule, n, str(exc))
     return DesignEvaluation(rule=rule, n=n, feasible=True,
                             var_interaction=var_gamma, cov_cross=cov_cross)
 

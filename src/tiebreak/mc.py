@@ -18,27 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CoefCovariance, QUADRATIC_LABELS, TWOLINE_LABELS
+from .covariance import (QUADRATIC, TWOLINE, _QUADRATIC_FIT_TO_NATURAL,
+                         CoefCovariance, design_covariance, model_labels)
 from .designs import (AssignmentDistribution, DesignRule, IntervalRule,
-                      STANDARD_GAUSSIAN, SlidingScale, ThreeLevelRule,
-                      TieBreaker, UNIFORM_RANK, treatment_probability)
+                      SlidingScale, ThreeLevelRule, TieBreaker,
+                      treatment_probability)
 from .errors import (DegenerateDesignError, DomainError, RankDeficientError)
-from .moments import rule_moments
-from .quadratic import covariance_quadratic
-from .twoline import covariance_from_moments, covariance_gaussian
-
-TWOLINE = "twoline"
-QUADRATIC = "quadratic"
 
 SIMPLE_RANDOM = "simple-random"
 STRATIFIED_PAIRS = "stratified-pairs"
 
 DEGENERATE_FRACTION_LIMIT = 0.01
-
-# The joint fit solves for the baseline coefficients first and the arm
-# interactions second; this maps the quadratic fit order
-# (b0, b1, b4, b2, b3, b5) back to natural order.
-_QUADRATIC_FIT_TO_NATURAL = (0, 1, 3, 4, 2, 5)
 
 
 def design_matrix(x: np.ndarray, model: str = TWOLINE) -> np.ndarray:
@@ -48,14 +38,6 @@ def design_matrix(x: np.ndarray, model: str = TWOLINE) -> np.ndarray:
         return np.column_stack([np.ones_like(x), x])
     if model == QUADRATIC:
         return np.column_stack([np.ones_like(x), x, x * x])
-    raise DomainError(f"unknown model {model!r}")
-
-
-def model_labels(model: str) -> tuple[str, ...]:
-    if model == TWOLINE:
-        return TWOLINE_LABELS
-    if model == QUADRATIC:
-        return QUADRATIC_LABELS
     raise DomainError(f"unknown model {model!r}")
 
 
@@ -242,6 +224,11 @@ class SimReport:
         if isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
             for key, val in vars(rule).items():
                 rule_desc[key] = val
+        elif isinstance(rule, SlidingScale):
+            if rule.table is not None:
+                rule_desc["x"], rule_desc["p"] = (v.tolist() for v in rule.table)
+            else:
+                rule_desc["breakpoints"] = list(rule.breakpoints)
         return {
             "model": self.config.model,
             "distribution": self.config.distribution.kind,
@@ -265,22 +252,12 @@ class SimReport:
 def closed_form_reference(config: SimConfig) -> CoefCovariance:
     """The package's own prediction for a run's N-scaled covariance.
 
-    Covers the designs with analytic moments; anything else (empirical
-    distributions, Gaussian scores with off-centre rules, a quadratic
-    fit of a non-window design) has no closed form and raises.
+    Covers both models for every window rule on the uniform rank and
+    Gaussian scales and for sliding scales on the rank scale. Empirical
+    distributions and sliding scales on Gaussian scores have no
+    population moments and raise DomainError.
     """
-    rule, dist = config.rule, config.distribution
-    if config.model == TWOLINE:
-        if dist.kind == UNIFORM_RANK:
-            return covariance_from_moments(rule_moments(rule), full=True)
-        if dist.kind == STANDARD_GAUSSIAN and isinstance(rule, TieBreaker) \
-                and rule.p == 0.5:
-            return covariance_gaussian(rule.delta, full=True)
-    elif config.model == QUADRATIC:
-        if dist.kind == UNIFORM_RANK and isinstance(rule, TieBreaker) \
-                and rule.p == 0.5:
-            return covariance_quadratic(rule.delta)
-    raise DomainError("no closed-form reference for this configuration")
+    return design_covariance(config.rule, config.distribution, config.model)
 
 
 def run_simulation(config: SimConfig,

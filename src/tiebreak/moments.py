@@ -1,21 +1,41 @@
-"""Population moments of the assignment indicator against the running variable.
+"""Population moments of the running variable and of the expected arm.
 
-Every large-sample covariance in this package is built from a handful of
-cross moments between the treatment indicator z and powers of x. For the
-window rules on the uniform rank scale these have short closed forms; for
-sliding scales they are integrals of x^k (2 p(x) - 1) over (-1, 1).
+Every large-sample covariance in this package is built from two moment
+sequences, E[x^k] and E[w x^k] for k = 0..2 * degree, where w(x) =
+2 p(x) - 1 is the expected arm at x. Window rules are integrated exactly
+region by region: by antiderivatives on the uniform rank scale, and by
+the truncated-normal recursion on Gaussian scores. Sliding scales use
+one fixed composite Gauss-Legendre rule between breakpoints, which is
+exact for tables and steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import normal, quadrature
+from . import normal
 from .designs import (AssignmentDistribution, IntervalRule, SlidingScale,
-                      STANDARD_GAUSSIAN, ThreeLevelRule, TieBreaker, UNIFORM_RANK)
+                      STANDARD_GAUSSIAN, ThreeLevelRule, TieBreaker, UNIFORM_RANK,
+                      _step_levels)
 from .errors import DomainError
+
+# Each segment between breakpoints is split into _GL_PANELS equal panels
+# with _GL_NODES.size Gauss-Legendre nodes each. A panel is exact for
+# polynomials up to degree 15, so x^4 (2 p(x) - 1) is integrated exactly
+# for tables (p linear between knots) and steps; smooth scales converge
+# to rounding long before that.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_PANELS = 16
+
+# Highest moment order any model needs: the quadratic fit's Hankel
+# matrices reach E[x^4].
+_KMAX = 4
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -40,16 +60,6 @@ def central_zx_mean(delta):
     return float(out) if out.ndim == 0 else out
 
 
-def central_zx3_mean(delta):
-    """E[zx^3] for a symmetric central window: (1 - delta^4)/4."""
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0.0) or np.any(delta > 1.0):
-        raise DomainError("delta must lie in [0, 1]")
-    d2 = delta * delta
-    out = (1.0 - d2 * d2) / 4.0
-    return float(out) if out.ndim == 0 else out
-
-
 def gaussian_zx_mean(delta):
     """E[zx] when x is standard Gaussian and the central fraction delta
     of subjects is randomized: 2 phi(Phi^-1((1 + delta)/2))."""
@@ -60,74 +70,86 @@ def gaussian_zx_mean(delta):
     return float(out) if out.ndim == 0 else out
 
 
-def three_level_zx_mean(delta, epsilon):
-    """E[zx] for the three-level rule: (1 - 2 epsilon)(1 - delta^2)/2.
+def _uniform_region(lo: float, hi: float) -> np.ndarray:
+    """E[x^k; lo < x < hi] for x uniform on (-1, 1)."""
+    return np.array([(hi ** (k + 1) - lo ** (k + 1)) / (2 * (k + 1))
+                     for k in range(_KMAX + 1)])
 
-    The outer regions contribute with weight 1 - 2 epsilon (their arms are
-    only epsilon away from deterministic) and the central coin contributes
-    nothing, so the rule behaves like a tie-breaker shrunk by 1 - 2 epsilon.
-    At epsilon = 1/2 every region is a fair coin and the moment vanishes.
+
+def _gaussian_upper(t: float) -> np.ndarray:
+    """E[x^k; x > t] for standard Gaussian x, by the recursion
+    M_k(t) = t^(k-1) phi(t) + (k - 1) M_(k-2)(t)."""
+    if math.isinf(t):
+        if t > 0.0:
+            return np.zeros(_KMAX + 1)
+        return np.array([0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2)))
+                         for k in range(_KMAX + 1)])
+    phi = math.exp(-0.5 * t * t) / _SQRT2PI
+    out = [0.5 * math.erfc(t / _SQRT2), phi]
+    for k in range(2, _KMAX + 1):
+        out.append(t ** (k - 1) * phi + (k - 1) * out[k - 2])
+    return np.array(out)
+
+
+def _scale_w_moments(scale: SlidingScale) -> np.ndarray:
+    """E[w x^k] for x uniform on (-1, 1) under a sliding scale."""
+    cuts = np.union1d([-1.0, 1.0], [b for b in scale.breakpoints if -1.0 < b < 1.0])
+    steps = np.linspace(0.0, 1.0, _GL_PANELS + 1)
+    edges = cuts[:-1, None] + (cuts[1:] - cuts[:-1])[:, None] * steps
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi) + half * _GL_NODES[:, None]).ravel()
+    weighted = (half * _GL_WEIGHTS[:, None]).ravel() * (2.0 * scale(x) - 1.0)
+    return np.array([0.5 * (weighted @ x ** k) for k in range(_KMAX + 1)])
+
+
+def design_moments(rule, distribution: AssignmentDistribution | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(E[x^k], E[w x^k]) for k = 0..4, with w the expected arm.
+
+    Covers the window rules on the uniform rank and standard-gaussian
+    scales and sliding scales on the rank scale; empirical distributions
+    have no population moments and raise DomainError.
     """
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0.0) or np.any(delta > 1.0):
-        raise DomainError("delta must lie in [0, 1]")
-    if not 0.0 <= epsilon < 0.5:
-        raise DomainError("epsilon must lie in [0, 1/2)")
-    out = (1.0 - 2.0 * epsilon) * (1.0 - delta * delta) / 2.0
-    return float(out) if out.ndim == 0 else out
-
-
-def interval_moments(a: float, b: float, p: float = 0.5) -> DesignMoments:
-    """Closed-form moments for randomization on (a, b) with probability p.
-
-    Derived by splitting E[z x^k] = (1/2) [ int_b^1 x^k dx
-    + (2p - 1) int_a^b x^k dx - int_{-1}^a x^k dx ].
-    """
-    IntervalRule(a, b, p)  # reuse the rule's own validation
-    q = 2.0 * p - 1.0
-    z_mean = -(a + b) / 2.0 + q * (b - a) / 2.0
-    zx_mean = 0.5 - (a * a + b * b) / 4.0 + q * (b * b - a * a) / 4.0
-    zx2_mean = -(a ** 3 + b ** 3) / 6.0 + q * (b ** 3 - a ** 3) / 6.0
-    return DesignMoments(z_mean, zx_mean, zx2_mean)
-
-
-def sliding_moments(scale: SlidingScale, tol: float = 1e-10) -> DesignMoments:
-    """Moments of a sliding scale by adaptive quadrature over (-1, 1).
-
-    The scale's breakpoints (knots of a table, window edges of a step
-    rule) are passed through so kinks land on panel boundaries.
-    """
-    bps = scale.breakpoints
-
-    def bar(k):
-        return 0.5 * quadrature.integrate(
-            lambda x: (x ** k if k else 1.0) * (2.0 * scale(x) - 1.0),
-            -1.0, 1.0, breakpoints=bps, tol=tol)
-
-    return DesignMoments(bar(0), bar(1), bar(2))
+    dist = distribution or AssignmentDistribution.uniform_rank()
+    if dist.kind not in (UNIFORM_RANK, STANDARD_GAUSSIAN):
+        raise DomainError("population moments need the uniform rank or "
+                          "standard-gaussian scale")
+    if isinstance(rule, SlidingScale):
+        if dist.kind == STANDARD_GAUSSIAN:
+            raise DomainError("a sliding scale is defined on the rank scale "
+                              "[-1, 1] and has no moments on Gaussian scores")
+        return _uniform_region(-1.0, 1.0), _scale_w_moments(rule)
+    if not isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
+        raise DomainError(f"no moment formulas for {type(rule).__name__}")
+    lo, hi, *levels = _step_levels(rule, dist)
+    if dist.kind == UNIFORM_RANK:
+        full = _uniform_region(-1.0, 1.0)
+        regions = (_uniform_region(-1.0, lo), _uniform_region(lo, hi),
+                   _uniform_region(hi, 1.0))
+    else:
+        full = _gaussian_upper(-math.inf)
+        bottom = (-1.0) ** np.arange(_KMAX + 1) * _gaussian_upper(-lo)
+        top = _gaussian_upper(hi)
+        regions = (bottom, full - bottom - top, top)
+    w = sum((2.0 * level - 1.0) * region for level, region in zip(levels, regions))
+    return full, w
 
 
 def rule_moments(rule, distribution: AssignmentDistribution | None = None) -> DesignMoments:
-    """Moments of any rule, on the given distribution (uniform rank default).
+    """E[z], E[zx], E[zx^2] and E[x^2] of any rule (uniform rank default)."""
+    x_mom, w_mom = design_moments(rule, distribution)
+    return DesignMoments(float(w_mom[0]), float(w_mom[1]), float(w_mom[2]),
+                         x2_mean=float(x_mom[2]))
 
-    The Gaussian case covers the fair-coin tie-breaker only; its odd
-    symmetry gives E[z] = E[zx^2] = 0 with E[x^2] = 1.
+
+def sliding_moments(scale: SlidingScale) -> DesignMoments:
+    """Moments of a sliding scale on the uniform rank scale.
+
+    The scale's breakpoints (knots of a table, window edges of a step
+    rule) bound the Gauss-Legendre panels, so no node sits on a jump or
+    kink.
     """
-    dist = distribution or AssignmentDistribution.uniform_rank()
-    if dist.kind == STANDARD_GAUSSIAN:
-        if isinstance(rule, TieBreaker) and rule.p == 0.5:
-            return DesignMoments(0.0, float(gaussian_zx_mean(rule.delta)), 0.0,
-                                 x2_mean=1.0)
-        raise DomainError("Gaussian moments are available for the fair-coin "
-                          "tie-breaker only")
-    if dist.kind != UNIFORM_RANK:
-        raise DomainError("closed-form moments need the uniform rank scale")
-    if isinstance(rule, TieBreaker):
-        return interval_moments(-rule.delta, rule.delta, rule.p)
-    if isinstance(rule, IntervalRule):
-        return interval_moments(rule.a, rule.b, rule.p)
-    if isinstance(rule, ThreeLevelRule):
-        return DesignMoments(0.0, float(three_level_zx_mean(rule.delta, rule.epsilon)), 0.0)
-    if isinstance(rule, SlidingScale):
-        return sliding_moments(rule)
-    raise DomainError(f"no moment formulas for {type(rule).__name__}")
+    if not isinstance(scale, SlidingScale):
+        raise DomainError("expected a SlidingScale")
+    return rule_moments(scale)

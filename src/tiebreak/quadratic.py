@@ -3,95 +3,21 @@
 Adding x^2 and z x^2 terms to the two-line model guards against
 curvature masquerading as a treatment effect. The regressors split into
 an even group (1, zx, x^2) and an odd group (z, x, zx^2) under the joint
-sign flip of x and z, and for a symmetric fair-coin window the design
-Gram matrix is block diagonal across the groups with the same 3x3 block
-E in each. The scaled covariance is then E^-1 twice over, written below
-through the adjugate M and determinant D of E.
+sign flip of x and z, so for a symmetric fair-coin window b3 couples
+only with b0 and b4, and b1 only with b2 and b5.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .covariance import CoefCovariance, QUADRATIC_LABELS
-from .errors import DomainError
-from .moments import central_zx_mean, central_zx3_mean
-
-# Regressor order in the grouped Gram matrix, and where each coefficient
-# of (b0, b1, b2, b3, b4, b5) lives in it: the even block carries
-# (b0, b3, b4), the odd block (b2, b1, b5).
-GROUPED_ORDER = ("1", "zx", "x2", "z", "x", "zx2")
-_COEF_POSITION = (0, 4, 3, 1, 2, 5)
-
-
-def _phis(delta: float) -> tuple[float, float]:
-    if not (np.isfinite(delta) and 0.0 <= delta <= 1.0):
-        raise DomainError("delta must lie in [0, 1]")
-    return float(central_zx_mean(delta)), float(central_zx3_mean(delta))
-
-
-def moment_block(delta: float) -> np.ndarray:
-    """The shared 3x3 Gram block E over (1, zx, x^2) or (z, x, zx^2).
-
-    E = [[1, f1, 1/3], [f1, 1/3, f3], [1/3, f3, 1/5]] with f1 = E[zx] and
-    f3 = E[zx^3]. At the sharp cut-off it is the 3x3 Hilbert matrix.
-    """
-    f1, f3 = _phis(delta)
-    return np.array([[1.0, f1, 1.0 / 3.0],
-                     [f1, 1.0 / 3.0, f3],
-                     [1.0 / 3.0, f3, 1.0 / 5.0]])
-
-
-def xtx_quadratic(delta: float) -> np.ndarray:
-    """Population Gram matrix over the grouped regressor order.
-
-    Block diagonal with E repeated, since every even-odd product has an
-    odd integrand and a vanishing mean under the symmetric design.
-    """
-    e = moment_block(delta)
-    out = np.zeros((6, 6))
-    out[:3, :3] = e
-    out[3:, 3:] = e
-    return out
-
-
-def quadratic_blocks(delta: float) -> tuple[np.ndarray, float]:
-    """Adjugate M and determinant D of the Gram block E, in closed form.
-
-    M / D = E^-1 is the per-group covariance. D shrinks from 4/135 at
-    full randomization to the Hilbert determinant 1/2160 at the sharp
-    cut-off, a 64-fold loss of volume.
-    """
-    f1, f3 = _phis(delta)
-    m = np.empty((3, 3))
-    m[0, 0] = 1.0 / 15.0 - f3 * f3
-    m[0, 1] = m[1, 0] = f3 / 3.0 - f1 / 5.0
-    m[0, 2] = m[2, 0] = f1 * f3 - 1.0 / 9.0
-    m[1, 1] = 4.0 / 45.0
-    m[1, 2] = m[2, 1] = f1 / 3.0 - f3
-    m[2, 2] = 1.0 / 3.0 - f1 * f1
-    d = (4.0 / 135.0 - f1 * f1 / 5.0 - f3 * f3 + (2.0 / 3.0) * f1 * f3)
-    return m, d
+from .covariance import QUADRATIC, CoefCovariance, design_covariance
+from .designs import TieBreaker
 
 
 def covariance_quadratic(delta: float) -> CoefCovariance:
-    """Scaled covariance of (b0, ..., b5) for the fair-coin window.
-
-    Assembled by inverting each group block and permuting back to
-    coefficient order. Couplings exist only within a group: b3 rides
-    with b0 and b4, b1 with b2 and b5.
-    """
-    m, d = quadratic_blocks(delta)
-    inv = m / d
-    block = np.zeros((6, 6))
-    block[:3, :3] = inv
-    block[3:, 3:] = inv
-    pos = _COEF_POSITION
-    mat = np.empty((6, 6))
-    for i in range(6):
-        for j in range(6):
-            mat[i, j] = block[pos[i], pos[j]]
-    return CoefCovariance(QUADRATIC_LABELS, mat)
+    """Scaled covariance of (b0, ..., b5) for the fair-coin window."""
+    return design_covariance(TieBreaker(float(delta)), model=QUADRATIC)
 
 
 def var_gain_quadratic(delta: float, x) -> np.ndarray | float:

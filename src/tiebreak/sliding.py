@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CoefCovariance
+from .covariance import CoefCovariance, moment_covariance
 from .designs import SlidingScale
 from .errors import DomainError
 from .moments import DesignMoments, sliding_moments
-from .twoline import covariance_from_moments
 
 _BALANCE_TOL = 1e-6
 
@@ -82,7 +81,9 @@ def full_covariance_sliding(scale_or_moments) -> CoefCovariance:
     variances_sliding; a non-zero E[zx^2] couples the slopes b1 and b3
     (and the levels b0 and b2), which the variances alone do not show.
     """
-    return covariance_from_moments(_as_moments(scale_or_moments), full=True)
+    mom = _as_moments(scale_or_moments)
+    return moment_covariance((1.0, 0.0, mom.x2_mean),
+                             (mom.z_mean, mom.zx_mean, mom.zx2_mean))
 
 
 def symmetrize(scale: SlidingScale) -> SlidingScale:

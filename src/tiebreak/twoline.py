@@ -8,26 +8,24 @@ design only through the cross moments of (z, x), so every quantity here
 is a short formula in those moments.
 
 For the fair-coin tie-breaker the moments reduce to E[zx] = (1 - d^2)/2
-and the covariance has explicit entries. Off-centre windows and unequal
-coin probabilities shift E[z] and E[zx^2] away from zero; the general
-case goes through the 2x2 Schur complement of the design Gram matrix.
+and the covariance has short explicit entries; the scalar formulas below
+(effect variance, efficiency, precision) are those entries. Every full
+covariance comes from the one engine in covariance.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .covariance import CoefCovariance, TWOLINE_LABELS
-from .designs import STANDARD_GAUSSIAN, UNIFORM_RANK, AssignmentDistribution
-from .errors import DegenerateDesignError, DomainError
-from .moments import (DesignMoments, central_zx_mean, gaussian_zx_mean,
-                      interval_moments)
+from .covariance import CoefCovariance, design_covariance
+from .designs import (STANDARD_GAUSSIAN, UNIFORM_RANK, AssignmentDistribution,
+                      IntervalRule, TieBreaker)
+from .errors import DomainError
+from .moments import central_zx_mean, gaussian_zx_mean
 
 EFFECT_LABELS = ("beta2", "beta3")
 
-_DEGENERATE_REL = 1e-13
+_GAUSSIAN = AssignmentDistribution.standard_gaussian()
 
 
 def _check_delta(delta) -> np.ndarray:
@@ -37,59 +35,9 @@ def _check_delta(delta) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MomentSchur:
-    """Schur complement of the (z, zx) block of the design Gram matrix.
-
-    For regressors (1, x, z, zx) on the uniform rank scale the Gram
-    matrix is [[D, C], [C, D]] with D = diag(1, 1/3) and C the symmetric
-    matrix of cross moments. M = D - C D^-1 C is what the covariance of
-    (b2, b3) inverts, and by the symmetry of the blocks it is also what
-    the covariance of (b0, b1) inverts.
-    """
-
-    m11: float
-    m12: float
-    m22: float
-
-    @classmethod
-    def from_moments(cls, mom: DesignMoments) -> "MomentSchur":
-        zb, zxb, zx2b = mom.z_mean, mom.zx_mean, mom.zx2_mean
-        return cls(m11=1.0 - zb * zb - 3.0 * zxb * zxb,
-                   m12=-zb * zxb - 3.0 * zx2b * zxb,
-                   m22=1.0 / 3.0 - zxb * zxb - 3.0 * zx2b * zx2b)
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m12
-
-    def inverse(self) -> np.ndarray:
-        det = self.det
-        scale = max(abs(self.m11), abs(self.m22), abs(self.m12), 1e-300)
-        if det <= _DEGENERATE_REL * scale * scale:
-            raise DegenerateDesignError(
-                "design is degenerate: the (z, zx) moment matrix is singular")
-        return np.array([[self.m22, -self.m12],
-                         [-self.m12, self.m11]]) / det
-
-
-def covariance_from_moments(mom: DesignMoments, full: bool = False) -> CoefCovariance:
-    """Scaled covariance of the two-line fit from design moments alone.
-
-    The (b2, b3) block is M^-1 with M the Schur complement; with
-    full=True both diagonal blocks of the 4x4 equal M^-1 and the cross
-    block is -M^-1 C D^-1.
-    """
-    schur = MomentSchur.from_moments(mom)
-    a = schur.inverse()
-    if not full:
-        return CoefCovariance(EFFECT_LABELS, a)
-    c = np.array([[mom.z_mean, mom.zx_mean],
-                  [mom.zx_mean, mom.zx2_mean]])
-    d_inv = np.diag([1.0, 1.0 / mom.x2_mean])
-    b = -a @ c @ d_inv
-    full_mat = np.block([[a, b], [b.T, a]])
-    return CoefCovariance(TWOLINE_LABELS, full_mat)
+def _effects(cov: CoefCovariance, full: bool) -> CoefCovariance:
+    """The whole covariance, or its (b2, b3) block."""
+    return cov if full else CoefCovariance(EFFECT_LABELS, cov.matrix[2:, 2:])
 
 
 def covariance_uniform(delta: float, full: bool = False) -> CoefCovariance:
@@ -100,18 +48,7 @@ def covariance_uniform(delta: float, full: bool = False) -> CoefCovariance:
     couplings are Cov(b0, b3) = Cov(b1, b2) = -3 f/(1 - 3 f^2). Pass
     full=True for the 4x4 matrix, otherwise the (b2, b3) block.
     """
-    delta = float(_check_delta(delta))
-    f = central_zx_mean(delta)
-    denom = 1.0 - 3.0 * f * f
-    v_even = 1.0 / denom
-    v_odd = 3.0 / denom
-    if not full:
-        return CoefCovariance(EFFECT_LABELS, np.diag([v_even, v_odd]))
-    coupling = -3.0 * f / denom
-    mat = np.diag([v_even, v_odd, v_even, v_odd])
-    mat[0, 3] = mat[3, 0] = coupling
-    mat[1, 2] = mat[2, 1] = coupling
-    return CoefCovariance(TWOLINE_LABELS, mat)
+    return _effects(design_covariance(TieBreaker(float(delta))), full)
 
 
 def covariance_gaussian(delta: float, full: bool = False) -> CoefCovariance:
@@ -123,17 +60,7 @@ def covariance_gaussian(delta: float, full: bool = False) -> CoefCovariance:
     rank scale: Gaussian tails spread the forced arms further from the
     threshold and buy extrapolation leverage.
     """
-    delta = float(_check_delta(delta))
-    f = gaussian_zx_mean(delta)
-    denom = 1.0 - f * f
-    v = 1.0 / denom
-    if not full:
-        return CoefCovariance(EFFECT_LABELS, np.diag([v, v]))
-    coupling = -f / denom
-    mat = np.diag([v, v, v, v])
-    mat[0, 3] = mat[3, 0] = coupling
-    mat[1, 2] = mat[2, 1] = coupling
-    return CoefCovariance(TWOLINE_LABELS, mat)
+    return _effects(design_covariance(TieBreaker(float(delta)), _GAUSSIAN), full)
 
 
 def var_gain_at_x(delta, x, distribution: AssignmentDistribution | None = None):
@@ -244,7 +171,7 @@ def noncentral_covariance(a: float, b: float, p: float = 0.5,
 
     Off-centre windows make E[z] and E[z x^2] non-zero, which couples the
     two regression lines; the covariance comes from the Schur complement
-    of the moment matrix rather than a single scalar. Reduces exactly to
+    of the Gram matrix rather than a single scalar. Reduces exactly to
     covariance_uniform when a = -b and p = 1/2.
     """
-    return covariance_from_moments(interval_moments(a, b, p), full=full)
+    return _effects(design_covariance(IntervalRule(a, b, p)), full)

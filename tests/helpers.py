@@ -2,14 +2,16 @@
 
 Everything here is deliberately independent of the package internals:
 least squares by modified Gram-Schmidt, Gram matrices by double loops,
-the normal quantile by bisecting a Simpson-integrated CDF, and random
-monotone allocation scales built from scratch. Tests compare package
+the normal quantile by bisecting a Simpson-integrated CDF, random
+monotone allocation scales built from scratch, and the paper's
+hand-derived closed forms for the window rules. Tests compare package
 output against these, not against other package output.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -130,3 +132,106 @@ def balanced_monotone_scale(rng: np.random.Generator) -> SlidingScale:
             hi = mid
     out_x, vals = _clipped_table(xs, ps, 0.5 * (lo + hi))
     return SlidingScale.from_table(out_x, vals)
+
+
+# -- Hand-derived closed forms ------------------------------------------------
+#
+# The covariance engine inverts the Gram matrix numerically; these are the
+# explicit formulas it must reproduce. Moments are E[z x^k] with z the arm
+# and x uniform on (-1, 1) unless stated otherwise.
+
+def interval_moments(a: float, b: float, p: float) -> tuple[float, float, float]:
+    """(E[z], E[zx], E[zx^2]) for randomization on (a, b) with coin p,
+    from E[z x^k] = (1/2)[int_b^1 x^k + (2p - 1) int_a^b x^k - int_-1^a x^k]."""
+    q = 2.0 * p - 1.0
+    return (-(a + b) / 2.0 + q * (b - a) / 2.0,
+            0.5 - (a * a + b * b) / 4.0 + q * (b * b - a * a) / 4.0,
+            -(a ** 3 + b ** 3) / 6.0 + q * (b ** 3 - a ** 3) / 6.0)
+
+
+def three_level_zx_mean(delta: float, epsilon: float) -> float:
+    """E[zx] of the three-level rule: (1 - 2 epsilon)(1 - delta^2)/2."""
+    return (1.0 - 2.0 * epsilon) * (1.0 - delta * delta) / 2.0
+
+
+def central_zx3_mean(delta: float) -> float:
+    """E[zx^3] of a symmetric central window: (1 - delta^4)/4."""
+    return (1.0 - delta ** 4) / 4.0
+
+
+def twoline_gram(z_moments, x2_mean: float = 1.0 / 3.0) -> np.ndarray:
+    """Population Gram matrix of (1, x, z, zx) from (E z, E zx, E zx^2)."""
+    z0, z1, z2 = z_moments
+    d = np.array([[1.0, 0.0], [0.0, x2_mean]])
+    c = np.array([[z0, z1], [z1, z2]])
+    return np.block([[d, c], [c, d]])
+
+
+def _two_line_entries(v_even: float, v_odd: float, coupling: float) -> np.ndarray:
+    """N Var of (b0, b1, b2, b3) for a symmetric window: Var(b0) = Var(b2),
+    Var(b1) = Var(b3), and Cov(b0, b3) = Cov(b1, b2) the only coupling."""
+    mat = np.diag([v_even, v_odd, v_even, v_odd])
+    mat[0, 3] = mat[3, 0] = mat[1, 2] = mat[2, 1] = coupling
+    return mat
+
+
+def uniform_tiebreaker_covariance(delta: float) -> np.ndarray:
+    """The fair-coin window on ranks: with f = (1 - delta^2)/2, variances
+    1/(1 - 3 f^2) and 3/(1 - 3 f^2), couplings -3 f/(1 - 3 f^2)."""
+    f = (1.0 - delta * delta) / 2.0
+    denom = 1.0 - 3.0 * f * f
+    return _two_line_entries(1.0 / denom, 3.0 / denom, -3.0 * f / denom)
+
+
+def gaussian_tiebreaker_covariance(delta: float) -> np.ndarray:
+    """The fair-coin window on Gaussian scores: with f = 2 phi(Phi^-1(
+    (1 + delta)/2)), every variance is 1/(1 - f^2), couplings -f/(1 - f^2)."""
+    f = 0.0
+    if delta < 1.0:
+        normal = NormalDist()
+        f = 2.0 * normal.pdf(normal.inv_cdf((1.0 + delta) / 2.0))
+    denom = 1.0 - f * f
+    return _two_line_entries(1.0 / denom, 1.0 / denom, -f / denom)
+
+
+def quadratic_block(delta: float) -> np.ndarray:
+    """The 3x3 Gram block E over (1, zx, x^2), equal to the one over
+    (z, x, zx^2), for the fair-coin window; Hilbert at delta = 0."""
+    f1, f3 = (1.0 - delta * delta) / 2.0, central_zx3_mean(delta)
+    return np.array([[1.0, f1, 1.0 / 3.0],
+                     [f1, 1.0 / 3.0, f3],
+                     [1.0 / 3.0, f3, 1.0 / 5.0]])
+
+
+def quadratic_adjugate(delta: float) -> tuple[np.ndarray, float]:
+    """Adjugate M and determinant D of quadratic_block, so E^-1 = M / D.
+
+    D shrinks from 4/135 at full randomization to the Hilbert
+    determinant 1/2160 at the sharp cut-off.
+    """
+    f1, f3 = (1.0 - delta * delta) / 2.0, central_zx3_mean(delta)
+    m = np.empty((3, 3))
+    m[0, 0] = 1.0 / 15.0 - f3 * f3
+    m[0, 1] = m[1, 0] = f3 / 3.0 - f1 / 5.0
+    m[0, 2] = m[2, 0] = f1 * f3 - 1.0 / 9.0
+    m[1, 1] = 4.0 / 45.0
+    m[1, 2] = m[2, 1] = f1 / 3.0 - f3
+    m[2, 2] = 1.0 / 3.0 - f1 * f1
+    d = 4.0 / 135.0 - f1 * f1 / 5.0 - f3 * f3 + (2.0 / 3.0) * f1 * f3
+    return m, d
+
+
+# Where each coefficient of (b0, ..., b5) sits in the grouped order
+# (1, zx, x^2 | z, x, zx^2): the even group carries (b0, b3, b4), the
+# odd group (b2, b1, b5).
+QUADRATIC_GROUPED_POSITION = (0, 4, 3, 1, 2, 5)
+
+
+def quadratic_covariance(delta: float) -> np.ndarray:
+    """N Var of (b0, ..., b5) for the fair-coin window: M / D in each
+    symmetry group, permuted back to coefficient order."""
+    m, d = quadratic_adjugate(delta)
+    grouped = np.zeros((6, 6))
+    grouped[:3, :3] = grouped[3:, 3:] = m / d
+    pos = QUADRATIC_GROUPED_POSITION
+    return grouped[np.ix_(pos, pos)]

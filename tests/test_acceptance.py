@@ -12,14 +12,13 @@ import numpy as np
 from tiebreak import (AssignmentDistribution, FeatureMatrix,
                       ScoreThresholdRule, SlidingScale, TieBreaker, mc)
 from tiebreak.general import evaluate_design, fully_randomized_covariance
-from tiebreak.moments import sliding_moments
-from tiebreak.quadratic import moment_block, quadratic_blocks
+from tiebreak.moments import design_moments, sliding_moments
 from tiebreak.sliding import full_covariance_sliding, variances_sliding
 from tiebreak.twoline import (covariance_gaussian, covariance_uniform,
                               efficiency_vs_rdd, noncentral_covariance,
                               optimal_delta, value)
 
-from helpers import balanced_monotone_scale
+from helpers import balanced_monotone_scale, quadratic_adjugate
 
 
 def _verdict(num, label, ok):
@@ -65,15 +64,21 @@ def test_criterion_04_third_width_efficiency():
     _verdict(4, "efficiency of a one-third window", ok)
 
 
+def _quadratic_gram_block(delta):
+    """The engine's Gram block over (1, zx, x^2) for the fair-coin window."""
+    x, w = design_moments(TieBreaker(delta))
+    return np.array([[x[0], w[1], x[2]], [w[1], x[2], w[3]], [x[2], w[3], x[4]]])
+
+
 def test_criterion_05_quadratic_adjugate_identity():
     ok = True
     eye = np.eye(3)
     for d in np.linspace(0.0, 1.0, 101):
-        m, det = quadratic_blocks(float(d))
-        resid = np.max(np.abs((m / det) @ moment_block(float(d)) - eye))
+        m, det = quadratic_adjugate(float(d))
+        resid = np.max(np.abs((m / det) @ _quadratic_gram_block(float(d)) - eye))
         ok = ok and resid <= 1e-10
-    _, det0 = quadratic_blocks(0.0)
-    _, det1 = quadratic_blocks(1.0)
+    det0 = np.linalg.det(_quadratic_gram_block(0.0))
+    det1 = np.linalg.det(_quadratic_gram_block(1.0))
     ok = ok and abs(det0 - 1.0 / 2160.0) <= 1e-15
     ok = ok and abs(det1 - 4.0 / 135.0) <= 1e-15
     _verdict(5, "quadratic moment determinant and inverse identity", ok)

@@ -7,10 +7,9 @@ from click.testing import CliRunner
 
 from tiebreak import mc
 from tiebreak.cli import main, parse_grid, parse_vector
-from tiebreak.covariance import CoefCovariance
+from tiebreak.covariance import CoefCovariance, design_covariance
 from tiebreak.designs import TieBreaker
-from tiebreak.moments import rule_moments
-from tiebreak.twoline import covariance_from_moments, covariance_gaussian
+from tiebreak.twoline import covariance_gaussian
 
 import click
 
@@ -236,7 +235,8 @@ class TestSimulate:
                                       "--out", "json"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["rule"]["type"] == "SlidingScale"
+        assert payload["rule"] == {"type": "SlidingScale", "x": [-1.0, 1.0],
+                                   "p": [0.0, 1.0]}
         assert payload["max_dev_se"] < 4.0
 
     def test_sliding_scale_on_gaussian_scores_exits_2(self, runner, tmp_path):
@@ -261,8 +261,7 @@ class TestSimulate:
         assert result.exit_code == 3
 
     def test_disagreement_exits_4(self, runner, monkeypatch):
-        honest = covariance_from_moments(rule_moments(TieBreaker(0.5)),
-                                         full=True)
+        honest = design_covariance(TieBreaker(0.5))
         wrong = CoefCovariance(honest.labels, honest.matrix * 3.0)
         monkeypatch.setattr(mc, "closed_form_reference", lambda config: wrong)
         result = runner.invoke(main, self.SMALL)

@@ -6,11 +6,10 @@ import pytest
 from tiebreak import (AssignmentDistribution, CoefCovariance,
                       DegenerateDesignError, DomainError, IntervalRule,
                       RankDeficientError, SlidingScale, TieBreaker, mc)
-from tiebreak.twoline import covariance_from_moments, covariance_gaussian
-from tiebreak.moments import rule_moments
+from tiebreak.twoline import covariance_gaussian
 from tiebreak.quadratic import covariance_quadratic
 
-from helpers import mgs_lstsq
+from helpers import mgs_lstsq, twoline_gram, uniform_tiebreaker_covariance
 
 
 def _window_mask(x, delta):
@@ -163,15 +162,16 @@ class TestClosedFormReference:
     def test_uniform_tie_breaker(self):
         config = mc.SimConfig(rule=TieBreaker(0.5))
         got = mc.closed_form_reference(config)
-        want = covariance_from_moments(rule_moments(TieBreaker(0.5)), full=True)
-        np.testing.assert_allclose(got.matrix, want.matrix)
+        np.testing.assert_allclose(got.matrix, uniform_tiebreaker_covariance(0.5),
+                                   rtol=1e-14)
 
     def test_uniform_sliding_scale(self):
         scale = SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0])
         config = mc.SimConfig(rule=scale)
         got = mc.closed_form_reference(config)
-        want = covariance_from_moments(rule_moments(scale), full=True)
-        np.testing.assert_allclose(got.matrix, want.matrix)
+        # p(x) = (1 + x)/2 has expected arm w = x: E[z] = E[zx^2] = 0, E[zx] = 1/3.
+        want = np.linalg.inv(twoline_gram((0.0, 1.0 / 3.0, 0.0)))
+        np.testing.assert_allclose(got.matrix, want, rtol=1e-13, atol=1e-14)
 
     def test_gaussian_fair_window(self):
         config = mc.SimConfig(rule=TieBreaker(0.5),
@@ -191,14 +191,29 @@ class TestClosedFormReference:
         scale = SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0])
         bad = [
             mc.SimConfig(rule=TieBreaker(0.5), distribution=emp),
-            mc.SimConfig(rule=IntervalRule(-0.2, 0.6), distribution=gauss),
-            mc.SimConfig(rule=TieBreaker(0.5, p=0.3), distribution=gauss),
-            mc.SimConfig(rule=scale, model=mc.QUADRATIC),
-            mc.SimConfig(rule=IntervalRule(-0.2, 0.6), model=mc.QUADRATIC),
+            mc.SimConfig(rule=scale, distribution=gauss),
+            mc.SimConfig(rule=scale, distribution=gauss, model=mc.QUADRATIC),
         ]
         for config in bad:
             with pytest.raises(DomainError):
                 mc.closed_form_reference(config)
+
+    @pytest.mark.parametrize("config", [
+        mc.SimConfig(rule=IntervalRule(-0.2, 0.6),
+                     distribution=AssignmentDistribution.standard_gaussian()),
+        mc.SimConfig(rule=TieBreaker(0.5, p=0.3),
+                     distribution=AssignmentDistribution.standard_gaussian()),
+        mc.SimConfig(rule=SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0]),
+                     model=mc.QUADRATIC),
+        mc.SimConfig(rule=IntervalRule(-0.2, 0.6), model=mc.QUADRATIC),
+    ], ids=["gaussian-interval", "gaussian-biased-coin", "quadratic-table",
+            "quadratic-interval"])
+    def test_new_closed_forms_agree_with_simulation(self, config):
+        config = mc.SimConfig(rule=config.rule, model=config.model,
+                              distribution=config.distribution,
+                              n=2000, reps=400, seed=12)
+        report = mc.run_simulation(config, require_reference=True)
+        assert report.max_dev_se < 4.0
 
 
 class TestSimConfig:
@@ -324,3 +339,10 @@ class TestSimReport:
         assert len(payload["empirical"]) == 4
         assert payload["reps_used"] == 50
         assert payload["max_dev_se"] < 10.0
+
+    def test_sliding_scale_description(self):
+        step = SlidingScale.from_rule(TieBreaker(0.5))
+        config = mc.SimConfig(rule=step, n=400, reps=20, seed=3)
+        payload = json.loads(json.dumps(mc.run_simulation(config).to_dict()))
+        assert payload["rule"] == {"type": "SlidingScale",
+                                   "breakpoints": [-0.5, 0.5]}

@@ -1,58 +1,77 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tiebreak.designs import TieBreaker
 from tiebreak.errors import DomainError
-from tiebreak.quadratic import (covariance_quadratic, moment_block,
-                                quadratic_blocks, var_gain_quadratic,
-                                xtx_quadratic)
+from tiebreak.moments import design_moments
+from tiebreak.quadratic import covariance_quadratic, var_gain_quadratic
 
-# Coefficient positions in the grouped (even | odd) block order.
-_POS = (0, 4, 3, 1, 2, 5)
+from helpers import (QUADRATIC_GROUPED_POSITION, quadratic_adjugate,
+                     quadratic_block, quadratic_covariance)
+
+# Natural-order positions of the even group (b0, b3, b4).
+EVEN = (0, 3, 4)
 
 
 def natural_order_gram(delta):
     """The 6x6 Gram over regressors ordered (1, x, z, zx, x^2, zx^2)."""
-    grouped = xtx_quadratic(delta)
-    out = np.empty((6, 6))
-    for i in range(6):
-        for j in range(6):
-            out[i, j] = grouped[_POS[i], _POS[j]]
-    return out
+    grouped = np.zeros((6, 6))
+    grouped[:3, :3] = grouped[3:, 3:] = quadratic_block(delta)
+    pos = QUADRATIC_GROUPED_POSITION
+    return grouped[np.ix_(pos, pos)]
+
+
+def engine_block(delta):
+    """The Gram block E over (1, zx, x^2) from the engine's moments."""
+    x, w = design_moments(TieBreaker(delta))
+    return np.array([[x[0], w[1], x[2]],
+                     [w[1], x[2], w[3]],
+                     [x[2], w[3], x[4]]])
 
 
 def test_moment_block_is_hilbert_at_sharp_cutoff():
     hilbert = np.array([[1.0, 1 / 2, 1 / 3],
                         [1 / 2, 1 / 3, 1 / 4],
                         [1 / 3, 1 / 4, 1 / 5]])
-    np.testing.assert_allclose(moment_block(0.0), hilbert, atol=1e-15)
+    np.testing.assert_allclose(engine_block(0.0), hilbert, atol=1e-15)
 
 
 def test_xtx_block_structure():
-    g = xtx_quadratic(0.6)
-    np.testing.assert_allclose(g[:3, :3], g[3:, 3:])
-    np.testing.assert_allclose(g[:3, 3:], 0.0)
+    # The inverse of the engine's covariance, in grouped order, is block
+    # diagonal with the same block twice.
+    pos = QUADRATIC_GROUPED_POSITION
+    inv = np.empty((6, 6))
+    inv[np.ix_(pos, pos)] = np.linalg.inv(covariance_quadratic(0.6).matrix)
+    np.testing.assert_allclose(inv[:3, :3], inv[3:, 3:], atol=1e-12)
+    np.testing.assert_allclose(inv[:3, 3:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(inv[:3, :3], quadratic_block(0.6), atol=1e-12)
     with pytest.raises(DomainError):
-        xtx_quadratic(1.3)
+        covariance_quadratic(1.3)
 
 
 def test_determinant_frozen_values():
-    _, d0 = quadratic_blocks(0.0)
-    _, d1 = quadratic_blocks(1.0)
-    assert d0 == pytest.approx(1.0 / 2160.0, abs=1e-15)
-    assert d1 == pytest.approx(4.0 / 135.0, abs=1e-15)
+    for delta, want in ((0.0, 1.0 / 2160.0), (1.0, 4.0 / 135.0)):
+        assert quadratic_adjugate(delta)[1] == pytest.approx(want, abs=1e-15)
+        assert np.linalg.det(engine_block(delta)) == pytest.approx(want, abs=1e-15)
+        even = covariance_quadratic(delta).matrix[np.ix_(EVEN, EVEN)]
+        assert 1.0 / np.linalg.det(even) == pytest.approx(want, rel=1e-12)
 
 
 def test_adjugate_identity_on_grid():
     for delta in np.linspace(0.0, 1.0, 101):
-        m, d = quadratic_blocks(delta)
-        e = moment_block(delta)
-        np.testing.assert_allclose((m / d) @ e, np.eye(3), atol=1e-10)
+        m, d = quadratic_adjugate(delta)
+        np.testing.assert_allclose((m / d) @ engine_block(delta), np.eye(3),
+                                   atol=1e-10)
 
 
 def test_center_entry_constant():
+    # The adjugate's centre entry is 4/45 at every width, so
+    # N Var(b3) = 4 / (45 D).
     for delta in (0.0, 0.33, 0.77, 1.0):
-        m, _ = quadratic_blocks(delta)
-        assert m[1, 1] == pytest.approx(4.0 / 45.0, abs=1e-15)
+        d = np.linalg.det(engine_block(delta))
+        assert covariance_quadratic(delta).var("beta3") * d == pytest.approx(
+            4.0 / 45.0, rel=1e-12)
 
 
 def test_covariance_frozen_values():
@@ -62,6 +81,15 @@ def test_covariance_frozen_values():
     assert rct.var("beta2") == pytest.approx(2.25, abs=1e-12)
     assert rct.var("beta3") == pytest.approx(3.0, abs=1e-12)
     assert rct.var("beta4") == pytest.approx(11.25, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1.0))
+def test_covariance_matches_adjugate_closed_form(delta):
+    want = quadratic_covariance(delta)
+    got = covariance_quadratic(delta).matrix
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_covariance_is_gram_inverse():

@@ -7,7 +7,8 @@ from tiebreak.moments import DesignMoments, sliding_moments
 from tiebreak.sliding import (equivalent_tiebreaker, full_covariance_sliding,
                               moment_determinant, symmetrize,
                               variances_sliding)
-from tiebreak.twoline import MomentSchur, covariance_uniform
+from tiebreak.covariance import schur_inverse
+from tiebreak.twoline import covariance_uniform
 
 from helpers import balanced_monotone_scale
 
@@ -18,8 +19,11 @@ def test_determinant_matches_schur():
     rng = np.random.default_rng(21)
     for _ in range(10):
         mom = sliding_moments(balanced_monotone_scale(rng))
-        schur = MomentSchur.from_moments(mom)
-        assert moment_determinant(mom) == pytest.approx(schur.det, abs=1e-10)
+        a = np.diag([1.0, 1.0 / 3.0])
+        b = np.array([[mom.z_mean, mom.zx_mean], [mom.zx_mean, mom.zx2_mean]])
+        var, _ = schur_inverse(a, b)
+        assert moment_determinant(mom) == pytest.approx(1.0 / np.linalg.det(var),
+                                                        abs=1e-12)
 
 
 def test_determinant_of_window_scales():

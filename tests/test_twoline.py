@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tiebreak.covariance import CoefCovariance
-from tiebreak.designs import AssignmentDistribution
+from tiebreak.covariance import CoefCovariance, design_covariance, schur_inverse
+from tiebreak.designs import AssignmentDistribution, IntervalRule
 from tiebreak.errors import DegenerateDesignError, DomainError
-from tiebreak.moments import interval_moments
-from tiebreak.twoline import (MomentSchur, covariance_from_moments,
-                              covariance_gaussian, covariance_uniform,
+from tiebreak.twoline import (covariance_gaussian, covariance_uniform,
                               efficiency_vs_rdd, experimentation_cost, gain,
                               min_delta_for_fraction, noncentral_covariance,
                               optimal_delta, precision, value, var_gain_at_x)
+
+from helpers import (gaussian_tiebreaker_covariance, interval_moments,
+                     twoline_gram, uniform_tiebreaker_covariance)
 
 GAUSSIAN = AssignmentDistribution.standard_gaussian()
 
 
 def numeric_full_covariance(a, b, p):
     """Invert the population Gram matrix of (1, x, z, zx) numerically."""
-    mom = interval_moments(a, b, p)
-    d = np.array([[1.0, 0.0], [0.0, 1.0 / 3.0]])
-    c = np.array([[mom.z_mean, mom.zx_mean], [mom.zx_mean, mom.zx2_mean]])
-    gram = np.block([[d, c], [c, d]])
-    return np.linalg.inv(gram)
+    return np.linalg.inv(twoline_gram(interval_moments(a, b, p)))
 
 
 def test_covariance_uniform_endpoints():
@@ -45,10 +43,7 @@ def test_covariance_uniform_half_window():
 def test_covariance_uniform_is_moment_inverse():
     for d in np.linspace(0, 1, 21):
         cov = covariance_uniform(d, full=True)
-        mom = interval_moments(-d, d, 0.5)
-        dmat = np.array([[1.0, 0.0], [0.0, 1.0 / 3.0]])
-        c = np.array([[0.0, mom.zx_mean], [mom.zx_mean, 0.0]])
-        gram = np.block([[dmat, c], [c, dmat]])
+        gram = twoline_gram(interval_moments(-d, d, 0.5))
         np.testing.assert_allclose(cov.matrix @ gram, np.eye(4), atol=1e-12)
 
 
@@ -169,13 +164,19 @@ def test_min_delta_for_fraction():
 
 
 def test_moment_schur_central():
-    schur = MomentSchur.from_moments(interval_moments(-0.5, 0.5, 0.5))
-    assert schur.m12 == 0.0
-    assert schur.m11 == pytest.approx(1.0 - 3.0 * 0.375 ** 2)
-    assert schur.m22 == pytest.approx(1.0 / 3.0 - 0.375 ** 2)
-    inv = schur.inverse()
-    m = np.array([[schur.m11, schur.m12], [schur.m12, schur.m22]])
-    np.testing.assert_allclose(inv @ m, np.eye(2), atol=1e-14)
+    # A = diag(1, 1/3), B = [[0, f], [f, 0]]: the Schur complement is
+    # diag(1 - 3 f^2, 1/3 - f^2) and the cross block -A^-1 B V.
+    a = np.diag([1.0, 1.0 / 3.0])
+    b = np.array([[0.0, 0.375], [0.375, 0.0]])
+    var, cross = schur_inverse(a, b)
+    schur = np.diag([1.0 - 3.0 * 0.375 ** 2, 1.0 / 3.0 - 0.375 ** 2])
+    assert var[0, 1] == var[1, 0] == 0.0
+    np.testing.assert_allclose(var @ schur, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(cross, -np.linalg.solve(a, b) @ var, atol=1e-14)
+    with pytest.raises(DegenerateDesignError):
+        schur_inverse(a, -a)
+    with pytest.raises(DegenerateDesignError):
+        schur_inverse(np.diag([1.0, 1e-13]), b)
 
 
 def test_noncentral_table_frozen():
@@ -217,8 +218,50 @@ def test_covariance_container_validation():
         CoefCovariance(("a", "b"), np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(DegenerateDesignError):
         CoefCovariance(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    cov = covariance_from_moments(interval_moments(-0.4, 0.4, 0.5), full=True)
+    cov = design_covariance(IntervalRule(-0.4, 0.4, 0.5))
     assert cov.labels == ("beta0", "beta1", "beta2", "beta3")
     d = cov.to_dict()
     assert d["labels"] == list(cov.labels)
     assert np.asarray(d["matrix"]).shape == (4, 4)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+unit = st.floats(0.0, 1.0)
+
+
+def _close(got, want, rtol=1e-12):
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+
+
+@PROPERTY
+@given(unit)
+def test_window_covariances_match_closed_forms(delta):
+    _close(covariance_uniform(delta, full=True).matrix,
+           uniform_tiebreaker_covariance(delta))
+    _close(covariance_uniform(delta).matrix,
+           uniform_tiebreaker_covariance(delta)[2:, 2:])
+    _close(covariance_gaussian(delta, full=True).matrix,
+           gaussian_tiebreaker_covariance(delta))
+
+
+@PROPERTY
+@given(st.tuples(st.floats(-0.98, 0.98), st.floats(-0.98, 0.98)),
+       st.floats(0.05, 0.95))
+def test_noncentral_matches_gram_inverse(ends, p):
+    a, b = min(ends), max(ends)
+    want = numeric_full_covariance(a, b, p)
+    # Both sides are inverses of the same Gram matrix, each accurate to
+    # about cond * eps.
+    _close(noncentral_covariance(a, b, p, full=True).matrix, want,
+           rtol=1e-15 * np.linalg.cond(want) + 1e-13)
+
+
+@PROPERTY
+@given(unit, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+def test_var_gain_is_effect_quadratic_form(delta, xs):
+    for dist, fn in ((None, covariance_uniform), (GAUSSIAN, covariance_gaussian)):
+        cov = fn(delta, full=True)
+        want = [cov.quadratic_form([0.0, 0.0, 2.0, 2.0 * x]) for x in xs]
+        np.testing.assert_allclose(var_gain_at_x(delta, np.array(xs), dist), want,
+                                   rtol=1e-12)
