@@ -164,12 +164,11 @@ def cmd_gain_variance(delta_grid, x_grid, model, distribution, out):
                               "uniform rank scale only")
         rows = []
         for d in deltas:
-            for x in xs:
-                if model == mc.TWOLINE:
-                    v = float(twoline.var_gain_at_x(d, x, dist))
-                else:
-                    v = float(quadratic.var_gain_quadratic(d, x))
-                rows.append([d, x, v])
+            if model == mc.TWOLINE:
+                vs = twoline.var_gain_at_x(d, xs, dist)
+            else:
+                vs = quadratic.var_gain_quadratic(d, xs)
+            rows.extend([d, x, float(v)] for x, v in zip(xs, vs))
         return rows
 
     rows = _usage_guard(body)

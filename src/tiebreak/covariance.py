@@ -7,8 +7,9 @@ and its inverse is [[V, C], [C', V]] with V the inverse of the Schur
 complement A - B A^-1 B and C = -A^-1 B V. Every analytic covariance in
 this package is that inverse, reported on the N-scaled convention:
 entries are N * Var(coefficient estimate) in units of sigma^2, so they
-are finite limits independent of the sample size. The finite-sample
-design evaluator calls the same Schur inverse with sample sums.
+are finite limits independent of the sample size. The design evaluator,
+the fully randomized floor and the Monte Carlo refit call the same
+Schur inverse with sample sums, under the same degeneracy rule.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def schur_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     V = (A - B A^-1 B)^-1 is the covariance of the interaction
     coefficients and C = -A^-1 B V their covariance with the baseline
     ones. Raises DegenerateDesignError, with the reason, when A or the
-    Schur complement is ill-conditioned or singular.
+    Schur complement is ill-conditioned, singular or negligible next to A.
     """
     if not np.all(np.isfinite(a)) or np.linalg.cond(a) > CONDITION_LIMIT:
         raise DegenerateDesignError("feature Gram matrix is ill-conditioned")
@@ -129,7 +130,9 @@ def schur_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         a_inv_b = np.linalg.solve(a, b)
         schur = a - b @ a_inv_b
         schur = 0.5 * (schur + schur.T)
-        if np.linalg.cond(schur) > CONDITION_LIMIT:
+        # cond is blind to scale: B = +-A (one arm for all) leaves a noise complement.
+        if (np.linalg.cond(schur) > CONDITION_LIMIT
+                or np.abs(schur).max() * CONDITION_LIMIT <= np.abs(a).max()):
             raise DegenerateDesignError(
                 "design is ill-conditioned: expected arms nearly "
                 "reproduce the features")

@@ -261,7 +261,7 @@ class SlidingScale:
 
         Every jump or kink of func must be declared as a breakpoint: the
         moments integrate each piece between breakpoints with a fixed
-        Gauss-Legendre rule, which is accurate only where func is smooth.
+        Gauss-Legendre rule and refuse a piece on which func is not smooth.
         """
         vec = np.vectorize(func, otypes=[float])
         return cls(lambda x: vec(x), breakpoints)

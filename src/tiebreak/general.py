@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import CONDITION_LIMIT, schur_inverse
+from .covariance import schur_inverse
 from .designs import ScoreThresholdRule, _step
 from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
 
@@ -208,13 +208,11 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
 
 
 def fully_randomized_covariance(features) -> np.ndarray:
-    """Var(g-hat) for the fair coin on everyone: A^-1, the PSD floor."""
+    """Var(g-hat) for the fair coin on everyone: B = 0, so A^-1, the PSD
+    floor. Collinear features raise DegenerateDesignError."""
     vals = _feature_values(features)
     a = vals.T @ vals
-    if np.linalg.cond(a) > CONDITION_LIMIT:
-        raise DomainError("feature Gram matrix is ill-conditioned")
-    inv = np.linalg.inv(a)
-    return 0.5 * (inv + inv.T)
+    return schur_inverse(a, np.zeros_like(a))[0]
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Each replicate holds the design fixed (the same quantile-spaced x and
 the same rule), redraws the arms and the noise, refits by least squares,
 and the scatter of the fitted coefficients across replicates estimates
-N Var(bhat). The replicate streams are counter-based: replicate r of a
-run seeded s uses the generator keyed (s, r), so any replicate can be
-reproduced alone, the full run is independent of execution order, and
-two runs with the same seed agree bit for bit.
+N Var(bhat). The refit goes through the same Schur inverse as the
+closed-form reference. The replicate streams are counter-based:
+replicate r of a run seeded s uses the generator keyed (s, r), so any
+replicate can be reproduced alone, the full run is independent of
+execution order, and two runs with the same seed agree bit for bit.
 
 Within a replicate the draw order is fixed: one uniform per subject for
 the arms, then one normal per subject for the noise.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import (QUADRATIC, TWOLINE, _QUADRATIC_FIT_TO_NATURAL,
-                         CoefCovariance, design_covariance, model_labels)
+                         CoefCovariance, design_covariance, model_labels, schur_inverse)
 from .designs import (AssignmentDistribution, DesignRule, IntervalRule,
                       SlidingScale, ThreeLevelRule, TieBreaker,
                       treatment_probability)
@@ -90,54 +91,27 @@ def simulate_outcomes(rng: np.random.Generator, features: np.ndarray,
     return m1 + z * m2 + sigma * rng.standard_normal(features.shape[0])
 
 
-def _plu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a small dense symmetric system by partial-pivot elimination.
-
-    A pivot below 1e-12 of the matrix scale means the realized design did
-    not separate the regressors (every window subject on one arm, say),
-    and raises RankDeficientError so the replicate can be discarded.
-    """
-    a = np.array(mat, dtype=float)
-    b = np.array(rhs, dtype=float)
-    k = a.shape[0]
-    tol = 1e-12 * max(np.max(np.abs(a)), 1.0)
-    for col in range(k):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < tol:
-            raise RankDeficientError("normal equations are rank deficient")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1:] -= factors * b[col]
-    out = np.empty(k)
-    for row in range(k - 1, -1, -1):
-        out[row] = (b[row] - a[row, row + 1:] @ out[row + 1:]) / a[row, row]
-    return out
-
-
 def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray,
             gram: np.ndarray | None = None) -> np.ndarray:
     """Least-squares coefficients of the joint fit, in natural order.
 
     The regressors are [F | zF]; because z^2 = 1 both diagonal Gram
-    blocks equal F'F, so only the cross block depends on the replicate.
-    Pass gram=F'F to amortize it across replicates.
+    blocks equal A = F'F, so only the cross block B depends on the
+    replicate. Pass gram=F'F to amortize it across replicates. The Gram
+    inverse is [[V, C], [C', V]] from schur_inverse; a design it rejects
+    raises RankDeficientError.
     """
     f = np.ascontiguousarray(features, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
     zf = np.ascontiguousarray(z, dtype=float)[:, None] * f
     bz, cf, cz = f.T @ zf, f.T @ y, zf.T @ y
     a = f.T @ f if gram is None else gram
-    d = f.shape[1]
-    g = np.empty((2 * d, 2 * d))
-    g[:d, :d] = a
-    g[:d, d:] = bz
-    g[d:, :d] = bz
-    g[d:, d:] = a
-    coef = _plu_solve(g, np.concatenate([cf, cz]))
-    if d == 3:
+    try:
+        var, cross = schur_inverse(a, bz)
+    except DegenerateDesignError as exc:
+        raise RankDeficientError(str(exc)) from None
+    coef = np.concatenate([var @ cf + cross @ cz, cross.T @ cf + var @ cz])
+    if f.shape[1] == 3:
         coef = coef[list(_QUADRATIC_FIT_TO_NATURAL)]
     return coef
 

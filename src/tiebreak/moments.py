@@ -6,7 +6,7 @@ sequences, E[x^k] and E[w x^k] for k = 0..2 * degree, where w(x) =
 region by region: by antiderivatives on the uniform rank scale, and by
 the truncated-normal recursion on Gaussian scores. Sliding scales use
 one fixed composite Gauss-Legendre rule between breakpoints, which is
-exact for tables and steps.
+exact for tables and steps; halving the panels catches undeclared jumps.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from .errors import DomainError
 # to rounding long before that.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_PANELS = 16
+# A segment's moments move by rounding (under 1e-13) when a smooth scale's
+# panels are halved, and by about a panel's mass across an undeclared jump.
+_PANEL_TOL = 1e-10
 
 # Highest moment order any model needs: the quadratic fit's Hankel
 # matrices reach E[x^4].
@@ -91,15 +94,41 @@ def _gaussian_upper(t: float) -> np.ndarray:
     return np.array(out)
 
 
-def _scale_w_moments(scale: SlidingScale) -> np.ndarray:
-    """E[w x^k] for x uniform on (-1, 1) under a sliding scale."""
-    cuts = np.union1d([-1.0, 1.0], [b for b in scale.breakpoints if -1.0 < b < 1.0])
-    steps = np.linspace(0.0, 1.0, _GL_PANELS + 1)
+def _panel_terms(scale: SlidingScale, cuts: np.ndarray, panels: int):
+    """Nodes x and weights times w(x), shaped (node, segment, panel)."""
+    steps = np.linspace(0.0, 1.0, panels + 1)
     edges = cuts[:-1, None] + (cuts[1:] - cuts[:-1])[:, None] * steps
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    lo, hi = edges[:, :-1], edges[:, 1:]
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi) + half * _GL_NODES[:, None]).ravel()
-    weighted = (half * _GL_WEIGHTS[:, None]).ravel() * (2.0 * scale(x) - 1.0)
+    x = 0.5 * (lo + hi) + half * _GL_NODES[:, None, None]
+    arms = 2.0 * scale(x.ravel()).reshape(x.shape) - 1.0
+    return x, half * _GL_WEIGHTS[:, None, None] * arms
+
+
+def _segment_sums(x: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """E[w x^k] on each segment, shape (segment, k)."""
+    powers = np.multiply.accumulate([np.ones_like(x)] + [x] * _KMAX)
+    return 0.5 * np.einsum("nsp,knsp->sk", weighted, powers)
+
+
+def _scale_w_moments(scale: SlidingScale) -> np.ndarray:
+    """E[w x^k] for x uniform on (-1, 1) under a sliding scale.
+
+    A segment whose moments move by more than _PANEL_TOL when its panels
+    are halved has an undeclared jump or kink and raises DomainError.
+    Tables, linear between their knots, are exact and skip the check.
+    """
+    cuts = np.union1d([-1.0, 1.0], [b for b in scale.breakpoints if -1.0 < b < 1.0])
+    x, weighted = _panel_terms(scale, cuts, _GL_PANELS)
+    if scale.table is None:
+        gap = np.abs(_segment_sums(x, weighted) - _segment_sums(
+            *_panel_terms(scale, cuts, _GL_PANELS // 2))).max(axis=1)
+        if np.any(gap > _PANEL_TOL):
+            j = int(np.argmax(gap > _PANEL_TOL))
+            raise DomainError(f"scale moments on segment [{cuts[j]:g}, {cuts[j + 1]:g}] "
+                              f"move by {gap[j]:.2g} when the panels are halved; "
+                              "declare its jumps and kinks as breakpoints")
+    x, weighted = x.ravel(), weighted.ravel()
     return np.array([0.5 * (weighted @ x ** k) for k in range(_KMAX + 1)])
 
 
@@ -148,7 +177,7 @@ def sliding_moments(scale: SlidingScale) -> DesignMoments:
 
     The scale's breakpoints (knots of a table, window edges of a step
     rule) bound the Gauss-Legendre panels, so no node sits on a jump or
-    kink.
+    kink; one left undeclared raises DomainError.
     """
     if not isinstance(scale, SlidingScale):
         raise DomainError("expected a SlidingScale")

@@ -61,16 +61,12 @@ def variances_sliding(scale_or_moments) -> SlidingVariances:
     """Scaled variances under a balanced scale.
 
     N Var(b1) = N Var(b3) = (1 - 3 u^2)/det and N Var(b0) = N Var(b2)
-    = (1/3 - u^2 - 3 v^2)/det, with u = E[zx], v = E[zx^2].
+    = (1/3 - u^2 - 3 v^2)/det, with u = E[zx], v = E[zx^2], read off
+    full_covariance_sliding. Impossible moments raise DegenerateDesignError.
     """
     mom = _require_balanced(_as_moments(scale_or_moments))
-    u, v = mom.zx_mean, mom.zx2_mean
-    det = moment_determinant(mom)
-    if det <= 0.0:
-        raise DomainError("degenerate scale: the moment determinant vanishes")
-    return SlidingVariances(
-        var_level=(1.0 / 3.0 - u * u - 3.0 * v * v) / det,
-        var_slope=(1.0 - 3.0 * u * u) / det)
+    cov = full_covariance_sliding(mom)
+    return SlidingVariances(var_level=cov.var("beta0"), var_slope=cov.var("beta1"))
 
 
 def full_covariance_sliding(scale_or_moments) -> CoefCovariance:

@@ -159,6 +159,16 @@ def central_zx3_mean(delta: float) -> float:
     return (1.0 - delta ** 4) / 4.0
 
 
+def sliding_variances(zx_mean: float, zx2_mean: float) -> tuple[float, float]:
+    """(N Var(b0), N Var(b1)) under a balanced scale on ranks, with
+    u = E[zx], v = E[zx^2] and det = 1/3 - 2 u^2 - 3 v^2 + 3 u^4:
+    (1/3 - u^2 - 3 v^2)/det and (1 - 3 u^2)/det. By the arm symmetry
+    N Var(b2) and N Var(b3) are the same two numbers."""
+    u, v = zx_mean, zx2_mean
+    det = 1.0 / 3.0 - 2.0 * u * u - 3.0 * v * v + 3.0 * u ** 4
+    return (1.0 / 3.0 - u * u - 3.0 * v * v) / det, (1.0 - 3.0 * u * u) / det
+
+
 def twoline_gram(z_moments, x2_mean: float = 1.0 / 3.0) -> np.ndarray:
     """Population Gram matrix of (1, x, z, zx) from (E z, E zx, E zx^2)."""
     z0, z1, z2 = z_moments

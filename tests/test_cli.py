@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tiebreak import mc
+from tiebreak import mc, quadratic, twoline
 from tiebreak.cli import main, parse_grid, parse_vector
 from tiebreak.covariance import CoefCovariance, design_covariance
-from tiebreak.designs import TieBreaker
+from tiebreak.designs import AssignmentDistribution, TieBreaker
 from tiebreak.twoline import covariance_gaussian
 
 import click
+
+
+_DISTRIBUTIONS = {"uniform-rank": AssignmentDistribution.uniform_rank(),
+                  "standard-gaussian": AssignmentDistribution.standard_gaussian()}
 
 
 @pytest.fixture()
@@ -104,6 +108,23 @@ class TestGainVariance:
         result = runner.invoke(main, ["gain-variance", "--model", "quadratic",
                                       "--distribution", "standard-gaussian"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("model, distribution", [
+        ("twoline", "uniform-rank"), ("twoline", "standard-gaussian"),
+        ("quadratic", "uniform-rank")])
+    def test_grid_matches_per_point_calls(self, runner, model, distribution):
+        # One library call per delta covers the whole x grid; every cell
+        # must equal the scalar call at that (delta, x) bit for bit.
+        result = runner.invoke(main, ["gain-variance", "--delta-grid", "0:1:0.5",
+                                      "--x-grid", "-0.5:1:0.75", "--model", model,
+                                      "--distribution", distribution])
+        assert result.exit_code == 0
+        _, rows = _rows(result.output)
+        dist = _DISTRIBUTIONS[distribution]
+        want = [(d, x, twoline.var_gain_at_x(d, x, dist) if model == "twoline"
+                 else quadratic.var_gain_quadratic(d, x))
+                for d in (0.0, 0.5, 1.0) for x in (-0.5, 0.25, 1.0)]
+        assert [tuple(float(v) for v in row) for row in rows] == want
 
 
 class TestOptimalDelta:

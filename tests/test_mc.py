@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiebreak import (AssignmentDistribution, CoefCovariance,
                       DegenerateDesignError, DomainError, IntervalRule,
                       RankDeficientError, SlidingScale, TieBreaker, mc)
+from tiebreak.covariance import schur_inverse
 from tiebreak.twoline import covariance_gaussian
 from tiebreak.quadratic import covariance_quadratic
 
@@ -122,27 +124,46 @@ class TestOlsFit:
         np.testing.assert_allclose(coef, want, atol=1e-10)
 
     def test_constant_arm_is_rank_deficient(self):
-        x = AssignmentDistribution.uniform_rank().points(100)
-        f = mc.design_matrix(x, mc.TWOLINE)
-        with pytest.raises(RankDeficientError):
-            mc.ols_fit(f, np.ones(100), np.zeros(100))
+        # Two lines with every subject on one arm, and two quadratics
+        # whose control arm holds only two distinct x values: neither
+        # arm's curve is identified, whatever the outcomes. At n = 20 the
+        # one-arm Schur complement is rounding noise with a condition
+        # number near 1, so only its scale gives it away.
+        for n in (100, 20):
+            x = AssignmentDistribution.uniform_rank().points(n)
+            for model, sign, controls in ((mc.TWOLINE, 1.0, []),
+                                          (mc.TWOLINE, -1.0, []),
+                                          (mc.QUADRATIC, 1.0, [3, 12])):
+                z = np.full(n, sign)
+                z[controls] = -1.0
+                with pytest.raises(RankDeficientError):
+                    mc.ols_fit(mc.design_matrix(x, model), z, np.zeros(n))
 
 
-class TestPluSolve:
-
-    def test_matches_linalg_solve(self):
-        rng = np.random.default_rng(21)
-        for k in (2, 4, 6):
-            m = rng.normal(size=(k, k))
-            spd = m @ m.T + k * np.eye(k)
-            rhs = rng.normal(size=k)
-            np.testing.assert_allclose(mc._plu_solve(spd, rhs),
-                                       np.linalg.solve(spd, rhs), rtol=1e-10)
-
-    def test_singular_raises(self):
-        mat = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(RankDeficientError):
-            mc._plu_solve(mat, np.ones(2))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_schur_blocks_invert_the_joint_gram(data):
+    # ols_fit reads the inverse of [[A, B], [B, A]] as [[V, C], [C', V]].
+    # For |w| <= 1 the Gram is positive semidefinite, and a Schur inverse
+    # refused as degenerate means the Gram itself is ill-conditioned.
+    d = data.draw(st.sampled_from((2, 3)))
+    n = data.draw(st.integers(2 * d, 30))
+    unit = st.floats(-1.0, 1.0)
+    cols = data.draw(st.lists(st.lists(unit, min_size=d - 1, max_size=d - 1),
+                              min_size=n, max_size=n))
+    w = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    f = np.column_stack([np.ones(n), np.array(cols)])
+    a, b = f.T @ f, f.T @ (w[:, None] * f)
+    gram = np.block([[a, b], [b, a]])
+    cond = np.linalg.cond(gram)
+    try:
+        var, cross = schur_inverse(a, b)
+    except DegenerateDesignError:
+        assert cond > 1e10
+        return
+    inv = np.block([[var, cross], [cross.T, var]])
+    np.testing.assert_allclose(gram @ inv, np.eye(2 * d), rtol=0,
+                               atol=1e-14 * cond)
 
 
 class TestEmpiricalCovariance:

@@ -161,19 +161,16 @@ def test_sliding_moments_smooth_scale_against_scipy(slope, shift):
 def test_sliding_moments_need_declared_jumps():
     # p = 1{x > 0.3}: E[z] = -0.3, E[zx] = 0.455, E[zx^2] = -0.009. Declared,
     # the jump bounds a panel and the moments are exact; undeclared, it
-    # falls inside one panel (width 2/16), which is integrated as if
-    # smooth, so E[z] is off by about 1e-2 but at most that panel's mass.
-    exact = (-0.3, 0.455, -0.009)
-    for breakpoints in ((0.3,), ()):
-        scale = SlidingScale.from_callable(lambda t: 1.0 if t > 0.3 else 0.0,
-                                           breakpoints=breakpoints)
-        mom = sliding_moments(scale)
-        err = np.abs(np.subtract((mom.z_mean, mom.zx_mean, mom.zx2_mean), exact))
-        if breakpoints:
-            assert np.all(err <= 1e-15)
-        else:
-            assert 1e-3 < err[0] <= 2.0 / 16.0
-            assert np.all(err <= 2.0 / 16.0)
+    # falls inside a panel, halving the panels moves the moments by about
+    # 6e-4, and the segment is refused by name.
+    def step(t):
+        return 1.0 if t > 0.3 else 0.0
+
+    mom = sliding_moments(SlidingScale.from_callable(step, breakpoints=(0.3,)))
+    err = np.subtract((mom.z_mean, mom.zx_mean, mom.zx2_mean), (-0.3, 0.455, -0.009))
+    assert np.all(np.abs(err) <= 1e-15)
+    with pytest.raises(DomainError, match=r"segment \[-1, 1\]"):
+        sliding_moments(SlidingScale.from_callable(step))
 
 
 def test_sliding_moments_absolute_value_scale():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tiebreak.designs import SlidingScale, TieBreaker
-from tiebreak.errors import DomainError
+from tiebreak.errors import DegenerateDesignError, DomainError
 from tiebreak.moments import DesignMoments, sliding_moments
 from tiebreak.sliding import (equivalent_tiebreaker, full_covariance_sliding,
                               moment_determinant, symmetrize,
@@ -10,7 +10,7 @@ from tiebreak.sliding import (equivalent_tiebreaker, full_covariance_sliding,
 from tiebreak.covariance import schur_inverse
 from tiebreak.twoline import covariance_uniform
 
-from helpers import balanced_monotone_scale
+from helpers import balanced_monotone_scale, sliding_variances
 
 ABS_SCALE = SlidingScale.from_callable(abs, breakpoints=(0.0,))
 
@@ -39,12 +39,13 @@ def test_variances_match_full_covariance():
     for _ in range(8):
         scale = balanced_monotone_scale(rng)
         mom = sliding_moments(scale)
+        level, slope = sliding_variances(mom.zx_mean, mom.zx2_mean)
         var = variances_sliding(mom)
         full = full_covariance_sliding(mom)
-        assert full.var("beta0") == pytest.approx(var.var_level, rel=1e-6)
-        assert full.var("beta2") == pytest.approx(var.var_level, rel=1e-6)
-        assert full.var("beta1") == pytest.approx(var.var_slope, rel=1e-6)
-        assert full.var("beta3") == pytest.approx(var.var_slope, rel=1e-6)
+        assert var.var_level == pytest.approx(level, rel=1e-12)
+        assert var.var_slope == pytest.approx(slope, rel=1e-12)
+        assert full.var("beta2") == pytest.approx(level, rel=1e-12)
+        assert full.var("beta3") == pytest.approx(slope, rel=1e-12)
 
 
 def test_unbalanced_scale_rejected():
@@ -56,6 +57,16 @@ def test_unbalanced_scale_rejected():
     # but the full covariance handles imbalance exactly
     full = full_covariance_sliding(lopsided)
     assert full.var("beta2") > 0
+
+
+def test_impossible_moments_are_degenerate():
+    # E[zx] <= 1/2 for any scale on ranks. At 0.6 both factors of the
+    # determinant, 1 - 3 u^2 and 1/3 - u^2, are negative, so their
+    # product is positive but the "variances" would be negative.
+    impossible = DesignMoments(0.0, 0.6, 0.0)
+    assert moment_determinant(impossible) > 0.0
+    with pytest.raises(DegenerateDesignError):
+        variances_sliding(impossible)
 
 
 def test_absolute_value_scale_frozen():
