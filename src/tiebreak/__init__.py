@@ -13,8 +13,8 @@ eligibility scores, and checks every formula by simulation.
 from .covariance import (CoefCovariance, QUADRATIC_LABELS, TWOLINE_LABELS,
                          design_covariance)
 from .designs import (AssignmentDistribution, IntervalRule, ScoreThresholdRule,
-                      SlidingScale, ThreeLevelRule, TieBreaker, load_scores,
-                      rank_transform, subject_ranks, treatment_probability)
+                      SlidingScale, ThreeLevelRule, TieBreaker, rank_transform,
+                      subject_ranks, treatment_probability)
 from .errors import (DegenerateDesignError, DomainError, NoFeasibleDesignError,
                      RankDeficientError)
 from .general import (DesignEvaluation, FeatureMatrix, SearchResult,
@@ -50,7 +50,7 @@ __all__ = [
     "equivalent_tiebreaker", "evaluate_design", "expected_weights",
     "experimentation_cost", "full_covariance_sliding",
     "fully_randomized_covariance", "gain", "gaussian_zx_mean",
-    "load_scores", "min_delta_for_fraction",
+    "min_delta_for_fraction",
     "moment_determinant", "noncentral_covariance", "ols_fit",
     "optimal_delta", "precision", "rank_transform",
     "rule_moments", "run_simulation", "sample_assignment",

@@ -337,17 +337,13 @@ def cmd_simulate(model, distribution, delta, p, a, b, epsilon, scale_path,
         rows = []
         for i, li in enumerate(report.labels):
             for j, lj in enumerate(report.labels):
-                ref = (None if report.reference is None
-                       else float(report.reference[i, j]))
+                emp = float(report.empirical[i, j])
+                ref = float(report.reference[i, j])
                 se = float(report.se[i, j])
-                dev = (None if ref is None
-                       else abs(float(report.empirical[i, j]) - ref) / se)
-                rows.append([li, lj, float(report.empirical[i, j]),
-                             "" if ref is None else ref, se,
-                             "" if dev is None else dev])
+                rows.append([li, lj, emp, ref, se, abs(emp - ref) / se])
         emit_table(["coef_i", "coef_j", "n_cov_empirical", "n_cov_reference",
                     "se", "abs_dev_se"], rows, out)
-    if report.max_dev_se is not None and report.max_dev_se > DISAGREEMENT_SE_LIMIT:
+    if report.max_dev_se > DISAGREEMENT_SE_LIMIT:
         click.echo(f"error: empirical covariance deviates from the closed "
                    f"form by {report.max_dev_se:.2f} standard errors", err=True)
         sys.exit(4)

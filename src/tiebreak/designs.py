@@ -5,13 +5,15 @@ subjects' scores are replaced by the equispaced grid x_i = (2i - N - 1)/N,
 which is uniform on (-1, 1) in the large-N limit. Rules decide the
 treatment arm z in {-1, +1} from x: deterministic arms outside a window,
 randomization inside it, or a probability p(x) that slides with x.
+Feature tables and scale files are read by one CSV table reader.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import string
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -21,7 +23,6 @@ from .errors import DomainError
 
 UNIFORM_RANK = "uniform-rank"
 STANDARD_GAUSSIAN = "standard-gaussian"
-EMPIRICAL = "empirical"
 
 
 def rank_transform(scores: Sequence[float]) -> np.ndarray:
@@ -35,8 +36,7 @@ def rank_transform(scores: Sequence[float]) -> np.ndarray:
         raise DomainError("scores must be a non-empty one-dimensional sequence")
     if not np.all(np.isfinite(arr)):
         raise DomainError("scores must all be finite")
-    n = arr.size
-    return (2.0 * np.arange(1, n + 1) - n - 1) / n
+    return AssignmentDistribution.uniform_rank().points(arr.size)
 
 
 def subject_ranks(scores: Sequence[float]) -> np.ndarray:
@@ -49,50 +49,20 @@ def subject_ranks(scores: Sequence[float]) -> np.ndarray:
     return out
 
 
-def load_scores(path) -> np.ndarray:
-    """Read an empirical score file: plain text, one decimal value per line."""
-    values = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise DomainError(
-                f"{path}: line {lineno} is not a decimal value: {text!r}") from None
-    if not values:
-        raise DomainError(f"{path}: no score values found")
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{path}: scores must all be finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class AssignmentDistribution:
     """Distribution of the assignment variable x.
 
-    kind is one of "uniform-rank" (the default analysis scale),
-    "standard-gaussian" (scores kept on their original N(0,1) scale), or
-    "empirical" (a fixed set of scores, rank-transformed).
+    kind is "uniform-rank" (the default analysis scale: scores replaced
+    by their ranks) or "standard-gaussian" (scores kept on their
+    original N(0,1) scale).
     """
 
     kind: str
-    scores: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in (UNIFORM_RANK, STANDARD_GAUSSIAN, EMPIRICAL):
+        if self.kind not in (UNIFORM_RANK, STANDARD_GAUSSIAN):
             raise DomainError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == EMPIRICAL:
-            if self.scores is None:
-                raise DomainError("empirical distribution requires scores")
-            arr = np.asarray(self.scores, dtype=float)
-            if arr.size == 0 or not np.all(np.isfinite(arr)):
-                raise DomainError("empirical scores must be non-empty and finite")
-            object.__setattr__(self, "scores", tuple(float(v) for v in arr))
-        elif self.scores is not None:
-            raise DomainError("scores are only valid for the empirical kind")
 
     @classmethod
     def uniform_rank(cls) -> "AssignmentDistribution":
@@ -102,38 +72,17 @@ class AssignmentDistribution:
     def standard_gaussian(cls) -> "AssignmentDistribution":
         return cls(STANDARD_GAUSSIAN)
 
-    @classmethod
-    def empirical(cls, scores: Sequence[float]) -> "AssignmentDistribution":
-        return cls(EMPIRICAL, tuple(float(v) for v in np.asarray(scores, dtype=float)))
-
-    def points(self, n: int | None = None) -> np.ndarray:
+    def points(self, n: int) -> np.ndarray:
         """Fixed design points for n subjects, sorted ascending.
 
-        Uniform ranks use the equispaced grid; the Gaussian case uses the
-        quantile midpoints Phi^-1((i - 1/2)/n); empirical distributions
-        return the rank transform of their stored scores (n, if given,
-        must match).
+        Uniform ranks use the equispaced grid x_i = (2i - n - 1)/n, the
+        Gaussian case the quantile midpoints Phi^-1((i - 1/2)/n).
         """
-        if self.kind == EMPIRICAL:
-            pts = rank_transform(np.asarray(self.scores))
-            if n is not None and n != pts.size:
-                raise DomainError(
-                    f"empirical distribution has {pts.size} scores, not {n}")
-            return pts
-        if n is None or n < 1:
+        if n < 1:
             raise DomainError("n must be a positive integer")
         if self.kind == UNIFORM_RANK:
             return (2.0 * np.arange(1, n + 1) - n - 1) / n
         return normal.ppf((np.arange(1, n + 1) - 0.5) / n)
-
-    def x2_mean(self) -> float:
-        """Population second moment of x."""
-        if self.kind == UNIFORM_RANK:
-            return 1.0 / 3.0
-        if self.kind == STANDARD_GAUSSIAN:
-            return 1.0
-        pts = self.points()
-        return float(np.mean(pts * pts))
 
     def central_window(self, frac: float) -> tuple[float, float]:
         """Window (lo, hi) that randomizes the central fraction frac of mass."""
@@ -288,26 +237,11 @@ class SlidingScale:
     @classmethod
     def from_csv(cls, path) -> "SlidingScale":
         """Read a two-column CSV "x,p" with a header row."""
-        rows = []
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or len(header) < 2:
-                raise DomainError(f"{path}: expected a header row with two columns")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 2:
-                    raise DomainError(f"{path}: line {lineno} must have two columns")
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    raise DomainError(
-                        f"{path}: line {lineno} is not numeric: {row!r}") from None
-        if not rows:
-            raise DomainError(f"{path}: no data rows")
-        xs, ps = zip(*rows)
-        return cls.from_table(xs, ps)
+        names, values = _read_table(path)
+        if len(names) != 2:
+            raise DomainError(f"{path}: a scale file has two columns x, p, "
+                              f"not {len(names)}")
+        return cls.from_table(values[:, 0], values[:, 1])
 
     @classmethod
     def from_rule(cls, rule) -> "SlidingScale":
@@ -395,3 +329,57 @@ def treatment_probability(x, rule: DesignRule,
     else:
         out = _step(arr, *_step_levels(rule, distribution))
     return float(out) if arr.ndim == 0 else np.asarray(out, dtype=float)
+
+
+# Characters of a data row that holds no value: rows made only of these
+# (blank rows, rows of empty or quoted-empty cells) are skipped.
+_EMPTY_ROW = string.whitespace + ',"'
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """The one data-row parser: comma-separated numbers, quotes allowed."""
+    return np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
+
+
+def _read_table(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header names and data rows of a CSV table of numbers.
+
+    The header row is read with csv and every data row by one np.loadtxt
+    call. Blank rows and rows of empty cells are skipped; whitespace
+    around cells, quoted cells and CRLF line ends are accepted. A ragged
+    or non-numeric row raises DomainError naming its line in the file.
+    """
+    with open(path, newline="") as handle:
+        header = next(csv.reader(handle), None)
+        if not header:
+            raise DomainError(f"{path}: expected a header row")
+        rows = (line for line in handle if line.strip(_EMPTY_ROW))
+        first = next(rows, None)
+        if first is None:
+            raise DomainError(f"{path}: no data rows")
+        try:
+            values = _parse_rows(itertools.chain([first], rows))
+        except ValueError:
+            values = None
+    names = tuple(cell.strip() for cell in header)
+    if values is None or values.shape[1] != len(names):
+        raise DomainError(f"{path}: {_bad_row(path, len(names))}")
+    return names, values
+
+
+def _bad_row(path, width: int) -> str:
+    """Where a table's data rows go wrong: the first row that is not
+    numeric or not width columns wide, found by parsing one row at a time
+    after the whole-table parse has failed."""
+    with open(path, newline="") as handle:
+        next(csv.reader(handle))
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip(_EMPTY_ROW):
+                continue
+            try:
+                cols = _parse_rows([line]).shape[1]
+            except ValueError:
+                return f"line {lineno} is not numeric"
+            if cols != width:
+                return f"line {lineno} has {cols} columns, expected {width}"
+    return "data rows do not form a table of numbers"

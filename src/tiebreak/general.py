@@ -14,14 +14,13 @@ for targeting with variance, and the search quantifies how much.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .covariance import schur_inverse
-from .designs import ScoreThresholdRule, _step
+from .designs import ScoreThresholdRule, _read_table, _step
 from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
 
 CRITERIA = ("trace", "log-det", "contrast")
@@ -73,29 +72,8 @@ class FeatureMatrix:
     @classmethod
     def from_csv(cls, path, add_intercept: bool = False) -> "FeatureMatrix":
         """Read a feature table: CSV with a header row, numeric columns."""
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header:
-                raise DomainError(f"{path}: expected a header row")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise DomainError(
-                        f"{path}: line {lineno} has {len(row)} columns, "
-                        f"expected {len(header)}")
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    raise DomainError(
-                        f"{path}: line {lineno} is not numeric") from None
-        if not rows:
-            raise DomainError(f"{path}: no data rows")
-        names = tuple(h.strip() for h in header)
-        return cls.from_array(np.asarray(rows), names=names,
-                              add_intercept=add_intercept)
+        names, values = _read_table(path)
+        return cls.from_array(values, names=names, add_intercept=add_intercept)
 
 
 def _feature_values(features) -> np.ndarray:

@@ -15,6 +15,7 @@ the arms, then one normal per subject for the noise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +131,9 @@ class SimConfig:
 
     baseline and interaction are the true coefficient vectors of the
     outcome model (zeros by default; the covariance of a linear fit does
-    not depend on them, which the defaults make plain).
+    not depend on them, which the defaults make plain). The rule assigns
+    on x, so a ScoreThresholdRule, which assigns on a feature score, is
+    refused.
     """
 
     rule: DesignRule
@@ -146,6 +149,15 @@ class SimConfig:
     scheme: str = SIMPLE_RANDOM
 
     def __post_init__(self):
+        if not isinstance(self.rule, (TieBreaker, IntervalRule, ThreeLevelRule,
+                                      SlidingScale)):
+            raise DomainError(f"cannot simulate a {type(self.rule).__name__}: "
+                              "the simulator assigns arms on x")
+        for name in ("n", "reps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.model not in (TWOLINE, QUADRATIC):
             raise DomainError(f"unknown model {self.model!r}")
         if self.scheme not in (SIMPLE_RANDOM, STRATIFIED_PAIRS):
@@ -154,7 +166,7 @@ class SimConfig:
             raise DomainError("n must be at least 4")
         if self.reps < 2:
             raise DomainError("reps must be at least 2")
-        if not 0 <= int(self.seed) < 2 ** 63:
+        if not 0 <= self.seed < 2 ** 63:
             raise DomainError("seed must be a non-negative 63-bit integer")
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError("sigma must be positive")
@@ -175,7 +187,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Empirical covariance of a run, against its closed form if one exists.
+    """Empirical covariance of a run, against its closed form.
 
     empirical and reference are N-scaled covariance matrices over
     labels; se holds the large-reps standard error of each empirical
@@ -187,8 +199,8 @@ class SimReport:
     coef_mean: np.ndarray
     empirical: np.ndarray
     se: np.ndarray
-    reference: np.ndarray | None
-    max_dev_se: float | None
+    reference: np.ndarray
+    max_dev_se: float
     degenerate: int
     reps_used: int
 
@@ -212,12 +224,12 @@ class SimReport:
             "reps": self.config.reps,
             "reps_used": self.reps_used,
             "degenerate": self.degenerate,
-            "seed": int(self.config.seed),
+            "seed": self.config.seed,
             "sigma": self.config.sigma,
             "labels": list(self.labels),
             "coef_mean": self.coef_mean.tolist(),
             "empirical": self.empirical.tolist(),
-            "reference": None if self.reference is None else self.reference.tolist(),
+            "reference": self.reference.tolist(),
             "se": self.se.tolist(),
             "max_dev_se": self.max_dev_se,
         }
@@ -227,31 +239,23 @@ def closed_form_reference(config: SimConfig) -> CoefCovariance:
     """The package's own prediction for a run's N-scaled covariance.
 
     Covers both models for every window rule on the uniform rank and
-    Gaussian scales and for sliding scales on the rank scale. Empirical
-    distributions and sliding scales on Gaussian scores have no
-    population moments and raise DomainError.
+    Gaussian scales and for sliding scales on the rank scale. A sliding
+    scale on Gaussian scores has no population moments and raises
+    DomainError.
     """
     return design_covariance(config.rule, config.distribution, config.model)
 
 
 def run_simulation(config: SimConfig,
-                   reference: CoefCovariance | None = None,
-                   require_reference: bool = False) -> SimReport:
+                   reference: CoefCovariance | None = None) -> SimReport:
     """Run the replicates and compare against the closed form.
 
-    reference overrides the automatic closed_form_reference lookup; with
-    require_reference=False a configuration without a closed form still
-    runs and reports empirical results alone. Replicates whose realized
-    design is rank deficient are dropped, and more than 1% of them marks
-    the design itself degenerate.
+    reference overrides the automatic closed_form_reference lookup.
+    Replicates whose realized design is rank deficient are dropped, and
+    more than 1% of them marks the design itself degenerate.
     """
     if reference is None:
-        try:
-            reference = closed_form_reference(config)
-        except DomainError:
-            if require_reference:
-                raise
-            reference = None
+        reference = closed_form_reference(config)
     labels = config.labels()
     k = len(labels)
     x = config.distribution.points(config.n)
@@ -263,7 +267,7 @@ def run_simulation(config: SimConfig,
     used = 0
     degenerate = 0
     for rep in range(config.reps):
-        rng = np.random.Generator(np.random.Philox(key=[int(config.seed), rep]))
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
         z = sample_assignment(rng, x, config.rule, config.distribution,
                               config.scheme)
         y = simulate_outcomes(rng, features, z, baseline, interaction,
@@ -277,14 +281,9 @@ def run_simulation(config: SimConfig,
         raise DegenerateDesignError(
             f"{degenerate} of {config.reps} replicates were rank deficient")
     empirical = empirical_covariance(coefs[:used], config.n)
-    ref_mat = None
-    if reference is not None:
-        ref_mat = reference.matrix * config.sigma ** 2
-    base = empirical if ref_mat is None else ref_mat
-    se = np.sqrt((np.outer(np.diag(base), np.diag(base)) + base ** 2) / used)
-    max_dev = None
-    if ref_mat is not None:
-        max_dev = float(np.max(np.abs(empirical - ref_mat) / se))
+    ref_mat = reference.matrix * config.sigma ** 2
+    se = np.sqrt((np.outer(np.diag(ref_mat), np.diag(ref_mat)) + ref_mat ** 2) / used)
+    max_dev = float(np.max(np.abs(empirical - ref_mat) / se))
     return SimReport(config=config, labels=labels,
                      coef_mean=coefs[:used].mean(axis=0), empirical=empirical,
                      se=se, reference=ref_mat, max_dev_se=max_dev,

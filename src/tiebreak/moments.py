@@ -137,13 +137,9 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
     """(E[x^k], E[w x^k]) for k = 0..4, with w the expected arm.
 
     Covers the window rules on the uniform rank and standard-gaussian
-    scales and sliding scales on the rank scale; empirical distributions
-    have no population moments and raise DomainError.
+    scales and sliding scales on the rank scale.
     """
     dist = distribution or AssignmentDistribution.uniform_rank()
-    if dist.kind not in (UNIFORM_RANK, STANDARD_GAUSSIAN):
-        raise DomainError("population moments need the uniform rank or "
-                          "standard-gaussian scale")
     if isinstance(rule, SlidingScale):
         if dist.kind == STANDARD_GAUSSIAN:
             raise DomainError("a sliding scale is defined on the rank scale "
@@ -152,6 +148,11 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
     if not isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
         raise DomainError(f"no moment formulas for {type(rule).__name__}")
     lo, hi, *levels = _step_levels(rule, dist)
+    arms = [2.0 * level - 1.0 for level in levels]
+    if isinstance(rule, ThreeLevelRule):
+        # 1 - 2 epsilon, the exact negative of the bottom arm, so that the
+        # even moments E[w], E[w x^2], E[w x^4] cancel to exactly 0.
+        arms[2] = -arms[0]
     if dist.kind == UNIFORM_RANK:
         full = _uniform_region(-1.0, 1.0)
         regions = (_uniform_region(-1.0, lo), _uniform_region(lo, hi),
@@ -161,7 +162,7 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
         bottom = (-1.0) ** np.arange(_KMAX + 1) * _gaussian_upper(-lo)
         top = _gaussian_upper(hi)
         regions = (bottom, full - bottom - top, top)
-    w = sum((2.0 * level - 1.0) * region for level, region in zip(levels, regions))
+    w = sum(arm * region for arm, region in zip(arms, regions))
     return full, w
 
 

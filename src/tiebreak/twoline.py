@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .covariance import CoefCovariance, design_covariance
-from .designs import (STANDARD_GAUSSIAN, UNIFORM_RANK, AssignmentDistribution,
-                      IntervalRule, TieBreaker)
+from .designs import (UNIFORM_RANK, AssignmentDistribution, IntervalRule,
+                      TieBreaker)
 from .errors import DomainError
 from .moments import central_zx_mean, gaussian_zx_mean
 
@@ -75,12 +75,9 @@ def var_gain_at_x(delta, x, distribution: AssignmentDistribution | None = None):
     kind = (distribution or AssignmentDistribution.uniform_rank()).kind
     if kind == UNIFORM_RANK:
         out = 16.0 * (1.0 + 3.0 * x * x) / (1.0 + 3.0 * delta * delta * (2.0 - delta * delta))
-    elif kind == STANDARD_GAUSSIAN:
+    else:
         f = gaussian_zx_mean(delta)
         out = 4.0 * (1.0 + x * x) / (1.0 - f * f)
-    else:
-        raise DomainError("treatment effect variance needs the uniform rank "
-                          "or Gaussian scale")
     return float(out) if out.ndim == 0 else out
 
 

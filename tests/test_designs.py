@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from tiebreak import normal
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               ScoreThresholdRule, SlidingScale,
-                              ThreeLevelRule, TieBreaker, load_scores,
-                              rank_transform, subject_ranks,
-                              treatment_probability)
+                              ThreeLevelRule, TieBreaker, rank_transform,
+                              subject_ranks, treatment_probability)
 from tiebreak.errors import DomainError
 from tiebreak.general import FeatureMatrix, expected_weights
 
@@ -47,24 +46,9 @@ def test_subject_ranks_permutation_of_grid():
     assert np.all(np.diff(ranks[order]) > 0)
 
 
-def test_load_scores(tmp_path):
-    path = tmp_path / "scores.txt"
-    path.write_text("1.5\n\n-2.25\n3e-1\n")
-    np.testing.assert_allclose(load_scores(path), [1.5, -2.25, 0.3])
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1.0\noops\n")
-    with pytest.raises(DomainError):
-        load_scores(bad)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("\n")
-    with pytest.raises(DomainError):
-        load_scores(empty)
-
-
 def test_uniform_rank_distribution():
     dist = AssignmentDistribution.uniform_rank()
     np.testing.assert_allclose(dist.points(5), [-0.8, -0.4, 0.0, 0.4, 0.8])
-    assert dist.x2_mean() == pytest.approx(1.0 / 3.0)
     assert dist.central_window(0.4) == (-0.4, 0.4)
 
 
@@ -72,7 +56,6 @@ def test_gaussian_distribution():
     dist = AssignmentDistribution.standard_gaussian()
     pts = dist.points(101)
     np.testing.assert_allclose(pts, normal.ppf((np.arange(1, 102) - 0.5) / 101))
-    assert dist.x2_mean() == 1.0
     lo, hi = dist.central_window(0.5)
     assert hi == -lo == pytest.approx(normal.ppf(0.75))
     assert dist.central_window(0.0) == (0.0, 0.0)
@@ -80,17 +63,11 @@ def test_gaussian_distribution():
 
 
 def test_empirical_distribution():
-    dist = AssignmentDistribution.empirical([5.0, 1.0, 3.0])
-    np.testing.assert_allclose(dist.points(), [-2.0 / 3.0, 0.0, 2.0 / 3.0])
-    with pytest.raises(DomainError):
-        dist.points(7)
-    assert dist.x2_mean() == pytest.approx(np.mean([4.0 / 9.0, 0.0, 4.0 / 9.0]))
-    with pytest.raises(DomainError):
-        AssignmentDistribution.empirical([])
-    with pytest.raises(DomainError):
-        AssignmentDistribution("uniform-rank", scores=(1.0,))
-    with pytest.raises(DomainError):
-        AssignmentDistribution("triangular")
+    # Scores enter only through their ranks, which uniform-rank already
+    # gives, so there is no separate empirical kind.
+    for kind in ("empirical", "triangular"):
+        with pytest.raises(DomainError):
+            AssignmentDistribution(kind)
 
 
 def test_rule_validation():
@@ -194,6 +171,14 @@ def test_sliding_scale_from_csv(tmp_path):
     headerless.write_text("")
     with pytest.raises(DomainError):
         SlidingScale.from_csv(headerless)
+    # A third header column with two-column rows, or three columns
+    # throughout, is not a scale file.
+    for name, text, where in (("wide_header", "x,p,q\n-1,0\n1,1\n", "line 2 "),
+                              ("wide", "x,p,q\n-1,0,0\n1,1,0\n", "two columns")):
+        wide = tmp_path / f"{name}.csv"
+        wide.write_text(text)
+        with pytest.raises(DomainError, match=where):
+            SlidingScale.from_csv(wide)
 
 
 def test_sliding_scale_from_rule_step_values():

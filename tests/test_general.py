@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiebreak.covariance import design_covariance
-from tiebreak.designs import IntervalRule, ScoreThresholdRule
+from tiebreak.covariance import QUADRATIC, TWOLINE, design_covariance
+from tiebreak.designs import (AssignmentDistribution, IntervalRule,
+                              ScoreThresholdRule)
 from tiebreak.errors import (DegenerateDesignError, DomainError,
                              NoFeasibleDesignError)
 from tiebreak.general import (FeatureMatrix, assemble_blocks, design_search,
                               evaluate_design, expected_weights,
                               fully_randomized_covariance)
+from tiebreak.mc import design_matrix
 from tiebreak.twoline import covariance_uniform
 
 from helpers import brute_weighted_gram
@@ -42,6 +46,40 @@ def test_feature_matrix_from_csv(tmp_path):
     empty.write_text("a,b\n")
     with pytest.raises(DomainError):
         FeatureMatrix.from_csv(empty)
+
+    # CRLF line ends, blank rows, rows of empty cells, spaces around
+    # cells and quoted cells all read as the plain table.
+    messy = tmp_path / "messy.csv"
+    messy.write_bytes(b'intercept,"score"\r\n1.0,0.5\r\n\r\n,\r\n'
+                      b'"1", -0.25 \r\n   \r\n"",""\r\n1 ," 3e-1"\r\n\r\n')
+    fm = FeatureMatrix.from_csv(messy)
+    assert fm.names == ("intercept", "score")
+    np.testing.assert_array_equal(fm.values, [[1.0, 0.5], [1.0, -0.25], [1.0, 0.3]])
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1,2\n\n1,x\n", "line 4 is not numeric"),
+    ("1,2\n,,\n1\n", "line 4 has 1 columns, expected 2"),
+    ("1,2\n1,2,3\n", "line 3 has 3 columns, expected 2"),
+    ("1,2\n1,\n1,2\n", "line 3 is not numeric"),
+    ("1\n1\n", "line 2 has 1 columns, expected 2"),
+    ("1,2\r\n\r\n1,2\r\n1,2;\r\n", "line 5 is not numeric"),
+])
+def test_feature_matrix_from_csv_names_the_bad_line(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(("a,b\n" + body).encode())
+    with pytest.raises(DomainError, match=re.escape(f"{path}: {message}")):
+        FeatureMatrix.from_csv(path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=3, max_size=3), min_size=1, max_size=30))
+def test_feature_matrix_from_csv_round_trips_exactly(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("round") / "features.csv"
+    path.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    fm = FeatureMatrix.from_csv(path, add_intercept=True)
+    assert fm.values[:, 1:].tobytes() == np.array(rows).tobytes()
 
 
 def test_feature_matrix_validation():
@@ -145,31 +183,36 @@ def test_rct_floor_rejects_collinear_features():
         fully_randomized_covariance(fm)
 
 
-def rank_grid_features(n):
-    x = (2.0 * np.arange(1, n + 1) - n - 1) / n
-    return np.column_stack([np.ones(n), x])
+def rank_grid_features(n, model=TWOLINE):
+    return design_matrix(AssignmentDistribution.uniform_rank().points(n), model)
 
 
 # n * Var(g-hat) on the rank grid differs from the population covariance
-# by O(1/n): each window edge misplaces at most one subject. A sweep of
-# 12 000 random windows with a, b in [-0.8, 0.8] and p in [0.1, 0.9] at
-# n = 200 .. 1600 put n * max|n Var - V| / max|V| at 10.5 at most.
-GRID_GAP_C = 25.0
+# by O(1/n): each window edge misplaces at most one subject. Sweeps of
+# random windows with a, b in [-0.8, 0.8] and p in [0.1, 0.9] at
+# n = 200 .. 1600 put n * max|n Var - V| / max|V| at 11.0 at most for
+# features [1, x] (14 000 windows) and at 22.9 for [1, x, x^2] (16 000).
+GRID_GAP_C = {TWOLINE: 25.0, QUADRATIC: 50.0}
+# The interaction coefficients (z, zx[, zx^2]) in natural label order.
+INTERACTION = {TWOLINE: [2, 3], QUADRATIC: [2, 3, 5]}
 
 
+@pytest.mark.parametrize("model", [TWOLINE, QUADRATIC])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8)),
        st.floats(0.1, 0.9))
-def test_finite_sample_evaluator_converges_to_population_covariance(ends, p):
+def test_finite_sample_evaluator_converges_to_population_covariance(model, ends, p):
     # The score x - (a + b)/2 with half-width (b - a)/2 randomizes
     # exactly the window (a, b), so the feature-matrix evaluator and the
     # population engine describe one design at two layers.
     a, b = min(ends), max(ends)
-    rule = ScoreThresholdRule((-(a + b) / 2.0, 1.0), (b - a) / 2.0, p)
-    want = design_covariance(IntervalRule(a, b, p)).matrix[2:, 2:]
+    theta = (-(a + b) / 2.0, 1.0) + (0.0,) * (model == QUADRATIC)
+    rule = ScoreThresholdRule(theta, (b - a) / 2.0, p)
+    idx = INTERACTION[model]
+    want = design_covariance(IntervalRule(a, b, p), model=model).matrix[np.ix_(idx, idx)]
     for n in (400, 800):
-        got = n * evaluate_design(rank_grid_features(n), rule).var_interaction
-        assert np.abs(got - want).max() <= GRID_GAP_C / n * np.abs(want).max()
+        got = n * evaluate_design(rank_grid_features(n, model), rule).var_interaction
+        assert np.abs(got - want).max() <= GRID_GAP_C[model] / n * np.abs(want).max()
 
 
 def test_reduction_to_rank_scale_covariance():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from tiebreak import (AssignmentDistribution, CoefCovariance,
                       DegenerateDesignError, DomainError, IntervalRule,
-                      RankDeficientError, SlidingScale, TieBreaker, mc)
+                      RankDeficientError, ScoreThresholdRule, SlidingScale,
+                      TieBreaker, mc)
 from tiebreak.covariance import schur_inverse
 from tiebreak.twoline import covariance_gaussian
 from tiebreak.quadratic import covariance_quadratic
@@ -208,10 +209,8 @@ class TestClosedFormReference:
 
     def test_no_closed_form_cases(self):
         gauss = AssignmentDistribution.standard_gaussian()
-        emp = AssignmentDistribution.empirical([0.1, -0.4, 0.9, 0.3])
         scale = SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0])
         bad = [
-            mc.SimConfig(rule=TieBreaker(0.5), distribution=emp),
             mc.SimConfig(rule=scale, distribution=gauss),
             mc.SimConfig(rule=scale, distribution=gauss, model=mc.QUADRATIC),
         ]
@@ -233,7 +232,7 @@ class TestClosedFormReference:
         config = mc.SimConfig(rule=config.rule, model=config.model,
                               distribution=config.distribution,
                               n=2000, reps=400, seed=12)
-        report = mc.run_simulation(config, require_reference=True)
+        report = mc.run_simulation(config)
         assert report.max_dev_se < 4.0
 
 
@@ -253,6 +252,21 @@ class TestSimConfig:
             mc.SimConfig(rule=rule, model="cubic")
         with pytest.raises(DomainError):
             mc.SimConfig(rule=rule, baseline=(1.0, 2.0, 3.0))
+        # Sizes must be integers: n = 400.5 would space a 401-point grid
+        # for 400.5 subjects and scale the covariance by 400.5.
+        for bad in ({"n": 400.5}, {"n": 400.0}, {"reps": 100.5},
+                    {"seed": 1.5}, {"seed": "3"}):
+            with pytest.raises(DomainError):
+                mc.SimConfig(rule=rule, **bad)
+        # numpy integers are kept as plain ints, so the report is JSON.
+        config = mc.SimConfig(rule=rule, n=np.int64(40), reps=np.int64(20),
+                              seed=np.uint32(1))
+        assert all(type(v) is int for v in (config.n, config.reps, config.seed))
+        json.dumps(mc.run_simulation(config).to_dict())
+        # The simulator assigns on x, so a rule on a feature score is
+        # refused rather than run with its theta ignored.
+        with pytest.raises(DomainError):
+            mc.SimConfig(rule=ScoreThresholdRule((1.0,), 0.5))
 
     def test_default_coefficients_are_zero(self):
         config = mc.SimConfig(rule=TieBreaker(0.5), model=mc.QUADRATIC)
@@ -301,18 +315,6 @@ class TestRunSimulation:
         wrong = CoefCovariance(honest.labels, honest.matrix * 3.0)
         report = mc.run_simulation(config, reference=wrong)
         assert report.max_dev_se > 4.0
-
-    def test_unreferenced_run_reports_empirical_only(self):
-        emp = AssignmentDistribution.empirical(
-            np.linspace(-2.0, 3.0, 101).tolist())
-        config = mc.SimConfig(rule=TieBreaker(0.5), distribution=emp,
-                              n=101, reps=50, seed=1)
-        report = mc.run_simulation(config)
-        assert report.reference is None
-        assert report.max_dev_se is None
-        assert report.se.shape == (4, 4)
-        with pytest.raises(DomainError):
-            mc.run_simulation(config, require_reference=True)
 
     def test_quadratic_run_recovers_true_coefficients(self):
         config = mc.SimConfig(rule=TieBreaker(0.5), model=mc.QUADRATIC,

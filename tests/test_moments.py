@@ -189,9 +189,14 @@ def test_rule_moments_dispatch():
                                    interval_moments(a, b, p), rtol=0, atol=1e-15)
     mom = rule_moments(ThreeLevelRule(0.2, 0.05))
     assert mom.zx_mean == pytest.approx(three_level_zx_mean(0.2, 0.05), abs=1e-15)
-    # The outer arm levels 2 epsilon - 1 and 1 - 2 epsilon cancel to rounding.
-    assert mom.is_symmetric(tol=1e-16)
     assert mom.x2_mean == 1.0 / 3.0
+    # The outer arm levels 2 epsilon - 1 and 1 - 2 epsilon are exact
+    # negatives, so the even moments cancel exactly on both scales.
+    for dist in (None, GAUSSIAN):
+        for delta, epsilon in ((0.5, 0.2), (0.2, 0.3), (0.2, 0.05), (0.0, 0.1),
+                               (0.7, 0.45), (1.0, 0.3), (0.33, 0.1)):
+            mom = rule_moments(ThreeLevelRule(delta, epsilon), dist)
+            assert mom.z_mean == 0.0 and mom.zx2_mean == 0.0
 
 
 def test_rule_moments_gaussian():
@@ -205,8 +210,6 @@ def test_rule_moments_gaussian():
         for k in range(5):
             assert w[k] == pytest.approx(
                 quad_window_moment(rule, k, gaussian=True), abs=1e-12)
-    with pytest.raises(DomainError):
-        rule_moments(TieBreaker(0.5), AssignmentDistribution.empirical([1.0, 2.0]))
     with pytest.raises(DomainError):
         rule_moments(SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0]), GAUSSIAN)
 
@@ -230,7 +233,7 @@ def test_interval_moments_match_closed_form(ends, p):
 @given(unit, st.floats(0.0, 0.5, exclude_max=True))
 def test_three_level_and_central_moments_match_closed_form(delta, epsilon):
     mom = rule_moments(ThreeLevelRule(delta, epsilon))
-    assert mom.is_symmetric(tol=1e-16)
+    assert mom.z_mean == 0.0 and mom.zx2_mean == 0.0
     assert mom.zx_mean == pytest.approx(three_level_zx_mean(delta, epsilon),
                                         rel=1e-15, abs=1e-16)
     _, w = design_moments(TieBreaker(delta))

@@ -67,8 +67,6 @@ def test_var_gain_closed_form():
 def test_var_gain_gaussian_frozen():
     assert var_gain_at_x(0.5, 1.0, GAUSSIAN) == pytest.approx(
         13.421192949250129, abs=1e-10)
-    with pytest.raises(DomainError):
-        var_gain_at_x(0.5, 0.0, AssignmentDistribution.empirical([1.0, 2.0]))
 
 
 def test_efficiency_vs_rdd():
