@@ -18,8 +18,8 @@ from .designs import (AssignmentDistribution, IntervalRule, ScoreThresholdRule,
 from .errors import (DegenerateDesignError, DomainError, NoFeasibleDesignError,
                      RankDeficientError)
 from .general import (DesignEvaluation, FeatureMatrix, SearchResult,
-                      assemble_blocks, design_search, evaluate_design,
-                      expected_weights, fully_randomized_covariance)
+                      design_search, evaluate_design, expected_weights,
+                      fully_randomized_covariance)
 from .mc import (SimConfig, SimReport, closed_form_reference,
                  empirical_covariance, ols_fit, run_simulation,
                  sample_assignment, simulate_outcomes)
@@ -43,7 +43,7 @@ __all__ = [
     "QUADRATIC_LABELS", "RankDeficientError", "ScoreThresholdRule",
     "SearchResult", "SimConfig", "SimReport", "SlidingScale",
     "SlidingVariances", "TWOLINE_LABELS", "ThreeLevelRule", "TieBreaker",
-    "assemble_blocks", "central_zx_mean", "closed_form_reference",
+    "central_zx_mean", "closed_form_reference",
     "covariance_gaussian", "covariance_quadratic", "covariance_uniform",
     "design_covariance", "design_moments", "design_search",
     "efficiency_vs_rdd", "empirical_covariance",

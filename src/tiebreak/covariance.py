@@ -46,6 +46,10 @@ _MOMENT_SCALE = 15.0
 
 _SYM_TOL = 1e-12
 
+# Why schur_inverse refuses a design, in the order of its tests.
+_SCHUR_REASONS = ("feature Gram matrix is ill-conditioned", "singular normal equations",
+                  "design is ill-conditioned: expected arms nearly reproduce the features")
+
 
 @dataclass(frozen=True)
 class CoefCovariance:
@@ -116,31 +120,58 @@ def model_labels(model: str) -> tuple[str, ...]:
     raise DomainError(f"unknown model {model!r}")
 
 
-def schur_inverse(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def schur_inverse(a: np.ndarray, b: np.ndarray):
     """(V, C) of the joint fit with Gram [[A, B], [B, A]].
 
     V = (A - B A^-1 B)^-1 is the covariance of the interaction
     coefficients and C = -A^-1 B V their covariance with the baseline
     ones. Raises DegenerateDesignError, with the reason, when A or the
     Schur complement is ill-conditioned, singular or negligible next to A.
+    A stack b (k, d, d), with a shared or stacked A, gives (V, C, reasons),
+    each item as its own 2-D call: reasons[i] is None or why V[i] is NaN.
     """
-    if not np.all(np.isfinite(a)) or np.linalg.cond(a) > CONDITION_LIMIT:
-        raise DegenerateDesignError("feature Gram matrix is ill-conditioned")
-    try:
-        a_inv_b = np.linalg.solve(a, b)
-        schur = a - b @ a_inv_b
-        schur = 0.5 * (schur + schur.T)
-        # cond is blind to scale: B = +-A (one arm for all) leaves a noise complement.
-        if (np.linalg.cond(schur) > CONDITION_LIMIT
-                or np.abs(schur).max() * CONDITION_LIMIT <= np.abs(a).max()):
-            raise DegenerateDesignError(
-                "design is ill-conditioned: expected arms nearly "
-                "reproduce the features")
-        var = np.linalg.inv(schur)
-        var = 0.5 * (var + var.T)
-    except np.linalg.LinAlgError:
-        raise DegenerateDesignError("singular normal equations") from None
-    return var, -a_inv_b @ var
+    b = np.asarray(b, dtype=float)
+    stacked, d = b.ndim == 3, b.shape[-1]
+    a = np.asarray(a, dtype=float).reshape(-1, d, d)
+    b = b.reshape(-1, d, d)
+    # Degenerate items become the identity before each LAPACK call, which
+    # would otherwise fail the whole stack; cond is s_max / s_min.
+    a_max = np.abs(a).max(axis=(1, 2))
+    gram_bad = ~((a_max > 0.0) & (a_max < np.inf))
+    if np.count_nonzero(gram_bad):
+        a = np.where(gram_bad[:, None, None], np.eye(d), a)
+    sv = np.linalg.svd(a, compute_uv=False)
+    gram_bad = gram_bad | (sv[:, -1] * CONDITION_LIMIT < sv[:, 0])
+    if np.count_nonzero(gram_bad):
+        a = np.where(gram_bad[:, None, None], np.eye(d), a)
+    a_inv_b = np.linalg.solve(a, b)
+    schur = a - b @ a_inv_b
+    schur = 0.5 * (schur + schur.transpose(0, 2, 1))
+    schur_max = np.abs(schur).max(axis=(1, 2))
+    singular = ~np.isfinite(schur_max)
+    if np.count_nonzero(singular):
+        schur = np.where(singular[:, None, None], np.eye(d), schur)
+    sv = np.linalg.svd(schur, compute_uv=False)
+    # cond is blind to scale: B = +-A (one arm for all) leaves a noise complement.
+    bad = (gram_bad | singular | (sv[:, -1] * CONDITION_LIMIT < sv[:, 0])
+           | (schur_max * CONDITION_LIMIT <= a_max))
+    degenerate = np.count_nonzero(bad) > 0
+    if degenerate:
+        schur = np.where(bad[:, None, None], np.eye(d), schur)
+    var = np.linalg.inv(schur)
+    var = 0.5 * (var + var.transpose(0, 2, 1))
+    cross = -a_inv_b @ var
+    reasons = [None] * len(b)
+    if degenerate:
+        var[bad] = cross[bad] = np.nan
+        codes = np.where(gram_bad, 0, np.where(singular, 1, 2))
+        for i in np.flatnonzero(bad):
+            reasons[i] = _SCHUR_REASONS[codes[i]]
+    if stacked:
+        return var, cross, reasons
+    if degenerate:
+        raise DegenerateDesignError(reasons[0])
+    return var[0], cross[0]
 
 
 def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovariance:

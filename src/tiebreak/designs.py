@@ -368,18 +368,26 @@ def _read_table(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _bad_row(path, width: int) -> str:
-    """Where a table's data rows go wrong: the first row that is not
-    numeric or not width columns wide, found by parsing one row at a time
-    after the whole-table parse has failed."""
+    """Where a table's data rows go wrong: the first record that is not
+    width columns wide or not numeric, named by its first line (a quoted
+    cell may span lines), found by walking the records with csv after
+    the whole-table parse has failed."""
     with open(path, newline="") as handle:
-        next(csv.reader(handle))
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip(_EMPTY_ROW):
+        # The physical lines of the record being read, in order.
+        lines: list[str] = []
+        records = csv.reader(lines.append(line) or line for line in handle)
+        next(records)
+        lines.clear()
+        for cells in records:
+            lineno = records.line_num - len(lines) + 1
+            text = "".join(lines)
+            lines.clear()
+            if not text.strip(_EMPTY_ROW):
                 continue
+            if len(cells) != width:
+                return f"line {lineno} has {len(cells)} columns, expected {width}"
             try:
-                cols = _parse_rows([line]).shape[1]
+                _parse_rows([text])
             except ValueError:
                 return f"line {lineno} is not numeric"
-            if cols != width:
-                return f"line {lineno} has {cols} columns, expected {width}"
     return "data rows do not form a table of numbers"

@@ -14,6 +14,7 @@ for targeting with variance, and the search quantifies how much.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .covariance import schur_inverse
 from .designs import ScoreThresholdRule, _read_table, _step
-from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
+from .errors import DomainError, NoFeasibleDesignError
 
 CRITERIA = ("trace", "log-det", "contrast")
 
@@ -85,25 +86,79 @@ def _feature_values(features) -> np.ndarray:
     return vals
 
 
+def _scores(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    if theta.size != vals.shape[1]:
+        raise DomainError(f"theta has {theta.size} entries for "
+                          f"{vals.shape[1]} feature columns")
+    return vals @ theta
+
+
 def expected_weights(features, rule: ScoreThresholdRule) -> np.ndarray:
     """Expected arm E[z_i] for each subject under the threshold rule:
     +1 / -1 outside the window, 2p - 1 inside."""
     vals = _feature_values(features)
-    theta = rule.theta_array
-    if theta.size != vals.shape[1]:
-        raise DomainError(f"theta has {theta.size} entries for "
-                          f"{vals.shape[1]} feature columns")
-    scores = vals @ theta
+    scores = _scores(vals, rule.theta_array)
     return _step(scores, -rule.delta, rule.delta, -1.0, 2.0 * rule.p - 1.0, 1.0)
 
 
-def assemble_blocks(features, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram blocks of the joint fit: A = sum F F' and B = sum w F F'."""
-    vals = _feature_values(features)
-    w = np.ascontiguousarray(weights, dtype=float)
-    if w.shape != (vals.shape[0],):
-        raise DomainError("need one weight per subject")
-    return vals.T @ vals, vals.T @ (w[:, None] * vals)
+def _window_blocks(vals: np.ndarray, scores: np.ndarray, grid: np.ndarray,
+                   coins: np.ndarray, gram: np.ndarray):
+    """B = sum_i w_i F_i F_i' as (len(grid), len(coins), d, d), for each
+    half-width in grid (sorted, distinct) and inside arm 2p - 1 in coins,
+    and whether no subject is treated (row 0) or a control (row 1).
+
+    As in _step, a subject is outside at delta iff |score| >= delta, on
+    arm +1 iff score >= 0. Binned by how many grid values are at or below
+    |score|, the subjects in bins above t are outside at grid[t]: B sums
+    the arm-signed bins above t and 2p - 1 times the plain bins up to t,
+    or is exactly (2p - 1) gram when everyone is inside.
+    """
+    n, d = vals.shape
+    m = grid.size
+    rows, cols = np.triu_indices(d)
+    # Bins 0..m hold the control arm, bins m+1..2m+1 the treated one.
+    bins = np.searchsorted(grid, np.abs(scores), side="right")
+    np.add(bins, m + 1, out=bins, where=scores >= 0.0)
+    counts = np.bincount(bins, minlength=2 * (m + 1)).reshape(2, m + 1)
+    sums = np.stack([np.bincount(bins, vals[:, r] * vals[:, c], 2 * (m + 1))
+                     for r, c in zip(rows, cols)], axis=-1).reshape(2, m + 1, -1)
+    outside = np.cumsum((sums[1] - sums[0])[::-1], axis=0)[-2::-1]
+    packed = outside[:, None] + coins[:, None] * np.cumsum(sums.sum(axis=0), axis=0)[:m, None]
+    n_inside = np.cumsum(counts.sum(axis=0))[:m]
+    packed[n_inside == n] = coins[:, None] * gram[rows, cols]
+    blocks = np.empty((m, coins.size, d, d))
+    blocks[..., rows, cols] = blocks[..., cols, rows] = packed
+    n_outside = np.cumsum(counts[:, ::-1], axis=1)[:, -2::-1]
+    # Nobody inside and nobody outside on the treated (control) arm.
+    return blocks, n_inside + n_outside[::-1] == 0
+
+
+def _evaluations(vals: np.ndarray, thetas, deltas, ps) -> list["DesignEvaluation"]:
+    """Every (theta, delta, p) candidate, p varying fastest: A = F'F once,
+    one pass over the subjects per theta, one stacked Schur inverse."""
+    rules = [ScoreThresholdRule(tuple(theta), float(delta), float(p))
+             for theta in thetas for delta in deltas for p in ps]
+    if not rules:
+        return []
+    n, d = vals.shape
+    grid, pick = np.unique(np.asarray(deltas, dtype=float), return_inverse=True)
+    coins = 2.0 * np.asarray(ps, dtype=float) - 1.0
+    gram = vals.T @ vals
+    blocks, empty = zip(*(_window_blocks(vals, _scores(vals, rules[t].theta_array),
+                                         grid, coins, gram)
+                          for t in range(0, len(rules), len(deltas) * len(ps))))
+    var, cross, reasons = schur_inverse(gram, np.stack(blocks)[:, pick].reshape(-1, d, d))
+    empty = np.stack(empty)[:, :, pick].swapaxes(1, 2).reshape(-1, 2)
+    out = []
+    for i, rule in enumerate(rules):
+        no_treated, no_control = empty[i // len(ps)]
+        reason = ("no treated subjects" if no_treated else
+                  "no control subjects" if no_control else reasons[i])
+        out.append(DesignEvaluation(rule=rule, n=n, feasible=False, reason=reason)
+                   if reason else
+                   DesignEvaluation(rule=rule, n=n, feasible=True,
+                                    var_interaction=var[i], cov_cross=cross[i]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,37 +184,37 @@ class DesignEvaluation:
         return self.var_interaction
 
     def trace(self) -> float:
-        return float(np.trace(self._require_feasible()))
+        return self.criterion_value("trace")
 
     def log_det(self) -> float:
-        sign, logdet = np.linalg.slogdet(self._require_feasible())
-        if sign <= 0:
-            raise DomainError("interaction covariance is not positive definite")
-        return float(logdet)
+        return self.criterion_value("log-det")
 
     def contrast_variance(self, contrast: Sequence[float]) -> float:
-        var = self._require_feasible()
-        c = np.asarray(contrast, dtype=float)
-        if c.shape != (var.shape[0],):
-            raise DomainError(f"contrast must have {var.shape[0]} entries")
-        return float(c @ var @ c)
+        return self.criterion_value("contrast", contrast)
 
     def criterion_value(self, criterion: str,
                         contrast: Sequence[float] | None = None) -> float:
-        if criterion == "trace":
-            return self.trace()
-        if criterion == "log-det":
-            return self.log_det()
-        if criterion == "contrast":
-            if contrast is None:
-                raise DomainError("the contrast criterion needs a contrast vector")
-            return self.contrast_variance(contrast)
-        raise DomainError(f"unknown criterion {criterion!r}; "
-                          f"choose from {', '.join(CRITERIA)}")
+        return float(_criterion(self._require_feasible(), criterion, contrast))
 
 
-def _infeasible(rule, n, reason) -> DesignEvaluation:
-    return DesignEvaluation(rule=rule, n=n, feasible=False, reason=reason)
+def _criterion(var: np.ndarray, criterion: str, contrast=None):
+    """A precision criterion of Var(g-hat), for one matrix or a stack."""
+    if criterion == "trace":
+        return np.trace(var, axis1=-2, axis2=-1)
+    if criterion == "log-det":
+        sign, logdet = np.linalg.slogdet(var)
+        if np.any(sign <= 0):
+            raise DomainError("interaction covariance is not positive definite")
+        return logdet
+    if criterion == "contrast":
+        if contrast is None:
+            raise DomainError("the contrast criterion needs a contrast vector")
+        c = np.asarray(contrast, dtype=float)
+        if c.shape != (var.shape[-1],):
+            raise DomainError(f"contrast must have {var.shape[-1]} entries")
+        return c @ var @ c
+    raise DomainError(f"unknown criterion {criterion!r}; "
+                      f"choose from {', '.join(CRITERIA)}")
 
 
 def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
@@ -170,19 +225,8 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     (everyone on one arm, or a collapsed Gram matrix) come back
     infeasible with a reason; nothing here raises for a bad design.
     """
-    vals = _feature_values(features)
-    n = vals.shape[0]
-    w = expected_weights(vals, rule)
-    if np.all(w <= -1.0):
-        return _infeasible(rule, n, "no treated subjects")
-    if np.all(w >= 1.0):
-        return _infeasible(rule, n, "no control subjects")
-    try:
-        var_gamma, cov_cross = schur_inverse(*assemble_blocks(vals, w))
-    except DegenerateDesignError as exc:
-        return _infeasible(rule, n, str(exc))
-    return DesignEvaluation(rule=rule, n=n, feasible=True,
-                            var_interaction=var_gamma, cov_cross=cov_cross)
+    return _evaluations(_feature_values(features), [rule.theta], [rule.delta],
+                        [rule.p])[0]
 
 
 def fully_randomized_covariance(features) -> np.ndarray:
@@ -218,19 +262,18 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}; "
                           f"choose from {', '.join(CRITERIA)}")
-    vals = _feature_values(features)
-    results: list[SearchResult] = []
-    for ti, theta in enumerate(thetas):
-        for di, delta in enumerate(deltas):
-            for pi, p in enumerate(ps):
-                rule = ScoreThresholdRule(tuple(theta), float(delta), float(p))
-                ev = evaluate_design(vals, rule)
-                if not ev.feasible:
-                    continue
-                value = ev.criterion_value(criterion, contrast=contrast)
-                results.append(SearchResult(value, ti, di, pi, ev))
-    if not results:
-        raise NoFeasibleDesignError(
-            "no feasible design among the candidates")
+    evaluations = _evaluations(_feature_values(features), thetas, deltas, ps)
+    feasible = [i for i, ev in enumerate(evaluations) if ev.feasible]
+    if not feasible:
+        failed = Counter(ev.reason.split(":")[0] for ev in evaluations)
+        detail = ", ".join(f"{k} {reason}" for reason, k in failed.items())
+        raise NoFeasibleDesignError(f"no feasible design among {len(evaluations)} "
+                                    "candidates" + (f": {detail}" if detail else ""))
+    values = _criterion(np.array([evaluations[i].var_interaction for i in feasible]),
+                        criterion, contrast)
+    per_theta = len(deltas) * len(ps)
+    results = [SearchResult(float(value), i // per_theta, i % per_theta // len(ps),
+                            i % len(ps), evaluations[i])
+               for i, value in zip(feasible, values)]
     results.sort(key=lambda r: (r.value, r.theta_index, r.delta_index, r.p_index))
     return results

@@ -48,6 +48,23 @@ def brute_weighted_gram(features: np.ndarray, weights: np.ndarray) -> np.ndarray
     return out
 
 
+def brute_design(features: np.ndarray, theta, delta: float, p: float):
+    """A threshold design from its definition: the expected arms w (+1 at
+    or above delta, -1 at or below -delta, 2p - 1 between), the blocks
+    A = F'F and B = F'(wF), and the inverse of the joint Gram
+    [[A, B], [B, A]] (None when it is singular)."""
+    f = np.asarray(features, dtype=float)
+    s = f @ np.asarray(theta, dtype=float)
+    w = np.where(s >= delta, 1.0, np.where(s <= -delta, -1.0, 2.0 * p - 1.0))
+    a = f.T @ f
+    b = f.T @ (w[:, None] * f)
+    try:
+        joint = np.linalg.inv(np.block([[a, b], [b, a]]))
+    except np.linalg.LinAlgError:
+        joint = None
+    return w, a, b, joint
+
+
 def simpson_normal_cdf(z: float, panels: int = 400) -> float:
     """Phi(z) by composite Simpson over [0, z], plus one half."""
     if z == 0.0:

@@ -196,8 +196,14 @@ class TestSearch:
     def test_infeasible_grid_exits_3(self, runner, features_csv):
         result = runner.invoke(main, ["search", "--features", features_csv,
                                       "--add-intercept", "--theta", "1,0",
-                                      "--delta-grid", "0"])
+                                      "--theta", "-1,0", "--delta-grid", "0:1:0.5"])
         assert result.exit_code == 3
+        # Every score is 1 under theta (1, 0) and -1 under (-1, 0), never
+        # inside a window of half-width at most 1.
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: no feasible design among 6 candidates: 3 no control subjects, "
+            "3 no treated subjects\n")
 
     def test_contrast_requires_vector(self, runner, features_csv):
         result = runner.invoke(main, ["search", "--features", features_csv,

@@ -171,10 +171,58 @@ def test_moment_schur_central():
     assert var[0, 1] == var[1, 0] == 0.0
     np.testing.assert_allclose(var @ schur, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(cross, -np.linalg.solve(a, b) @ var, atol=1e-14)
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(DegenerateDesignError, match="^design is ill-conditioned: "
+                       "expected arms nearly reproduce the features$"):
         schur_inverse(a, -a)
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(DegenerateDesignError,
+                       match="^feature Gram matrix is ill-conditioned$"):
         schur_inverse(np.diag([1.0, 1e-13]), b)
+    with pytest.raises(DegenerateDesignError,
+                       match="^feature Gram matrix is ill-conditioned$"):
+        schur_inverse(np.full((2, 2), np.inf), b)
+    with pytest.raises(DegenerateDesignError, match="^singular normal equations$"):
+        schur_inverse(a, np.full((2, 2), np.nan))
+
+
+def test_stacked_schur_inverse_matches_each_item():
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4):
+        f = np.hstack([np.ones((60, 1)), rng.normal(size=(60, d - 1))])
+        a = f.T @ f
+        arms = rng.uniform(-1.0, 1.0, (40, 60))
+        arms[7] = np.sign(f[:, 1])
+        b = np.einsum("ki,ij,il->kjl", arms, f, f)
+        # A singular item (a non-finite Schur complement) and an
+        # ill-conditioned one (one arm for all) in the middle of the stack.
+        b[12] = np.nan
+        own = np.stack([a + 0.1 * k * np.eye(d) for k in range(len(b))])
+        for shared in (a, own):
+            b[20] = shared if shared.ndim == 2 else shared[20]
+            var, cross, reasons = schur_inverse(shared, b)
+            assert var.shape == cross.shape == b.shape
+            for k in range(len(b)):
+                item = shared if shared.ndim == 2 else shared[k]
+                try:
+                    want = schur_inverse(item, b[k])
+                except DegenerateDesignError as exc:
+                    assert reasons[k] == str(exc)
+                    assert np.isnan(var[k]).all() and np.isnan(cross[k]).all()
+                    continue
+                assert reasons[k] is None
+                assert var[k].tobytes() == want[0].tobytes()
+                assert cross[k].tobytes() == want[1].tobytes()
+            assert reasons[12] == "singular normal equations"
+            assert reasons[20].startswith("design is ill-conditioned")
+            assert sum(r is not None for r in reasons) == 2
+    # A stack of Gram blocks of its own flags only its own bad items, and a
+    # bad Gram block is the reason even where B is not finite either.
+    a = np.stack([np.eye(2), np.diag([1.0, 1e-13]), np.eye(2), np.diag([1.0, 1e-13])])
+    b = np.zeros((4, 2, 2))
+    b[2:] = np.nan
+    _, _, reasons = schur_inverse(a, b)
+    assert reasons == [None, "feature Gram matrix is ill-conditioned",
+                       "singular normal equations",
+                       "feature Gram matrix is ill-conditioned"]
 
 
 def test_noncentral_table_frozen():
