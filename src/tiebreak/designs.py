@@ -12,17 +12,22 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import statistics
 import string
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from . import normal
 from .errors import DomainError
 
 UNIFORM_RANK = "uniform-rank"
 STANDARD_GAUSSIAN = "standard-gaussian"
+
+# The package's one standard normal: Gaussian design points and window
+# edges are its quantiles (Wichura's AS 241, within 1e-15 of scipy's ndtri).
+_GAUSSIAN = statistics.NormalDist()
 
 
 def rank_transform(scores: Sequence[float]) -> np.ndarray:
@@ -82,14 +87,19 @@ class AssignmentDistribution:
             raise DomainError("n must be a positive integer")
         if self.kind == UNIFORM_RANK:
             return (2.0 * np.arange(1, n + 1) - n - 1) / n
-        return normal.ppf((np.arange(1, n + 1) - 0.5) / n)
+        # Every midpoint directly: mirroring the lower half moves points
+        # by up to 5e-13, as 1 - q is not the complement of the float q.
+        mids = (np.arange(1, n + 1) - 0.5) / n
+        return np.array([_GAUSSIAN.inv_cdf(q) for q in mids.tolist()])
 
     def central_window(self, frac: float) -> tuple[float, float]:
         """Window (lo, hi) that randomizes the central fraction frac of mass."""
         if not 0.0 <= frac <= 1.0:
             raise DomainError("experimented fraction must lie in [0, 1]")
         if self.kind == STANDARD_GAUSSIAN:
-            tau = normal.ppf((1.0 + frac) / 2.0)
+            # Just below frac = 1 the half-sum already rounds to 1.
+            upper = (1.0 + frac) / 2.0
+            tau = math.inf if upper >= 1.0 else _GAUSSIAN.inv_cdf(upper)
             return (-tau, tau)
         return (-frac, frac)
 
@@ -161,12 +171,12 @@ class ScoreThresholdRule:
     p: float = 0.5
 
     def __post_init__(self):
-        theta = tuple(float(v) for v in np.asarray(self.theta, dtype=float).ravel())
-        if len(theta) == 0 or not all(np.isfinite(theta)):
+        theta = tuple(np.asarray(self.theta, dtype=float).ravel().tolist())
+        if not theta or not all(map(math.isfinite, theta)):
             raise DomainError("theta must be a non-empty finite vector")
         if not any(v != 0.0 for v in theta):
             raise DomainError("theta must not be the zero vector")
-        if not (np.isfinite(self.delta) and self.delta >= 0.0):
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise DomainError("delta must be a finite non-negative real")
         if not 0.0 < self.p < 1.0:
             raise DomainError("p must lie strictly inside (0, 1)")

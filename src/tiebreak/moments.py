@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import normal
 from .designs import (AssignmentDistribution, IntervalRule, SlidingScale,
                       STANDARD_GAUSSIAN, ThreeLevelRule, TieBreaker, UNIFORM_RANK,
                       _step_levels)
@@ -54,22 +53,28 @@ class DesignMoments:
         return abs(self.z_mean) <= tol and abs(self.zx2_mean) <= tol
 
 
+def _check_delta(delta) -> np.ndarray:
+    """delta as an array, refused unless every entry lies in [0, 1]."""
+    arr = np.asarray(delta, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise DomainError("delta must lie in [0, 1]")
+    return arr
+
+
 def central_zx_mean(delta):
     """E[zx] for a symmetric central window of width delta: (1 - delta^2)/2."""
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0.0) or np.any(delta > 1.0):
-        raise DomainError("delta must lie in [0, 1]")
+    delta = _check_delta(delta)
     out = (1.0 - delta * delta) / 2.0
     return float(out) if out.ndim == 0 else out
 
 
 def gaussian_zx_mean(delta):
     """E[zx] when x is standard Gaussian and the central fraction delta
-    of subjects is randomized: 2 phi(Phi^-1((1 + delta)/2))."""
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0.0) or np.any(delta > 1.0):
-        raise DomainError("delta must lie in [0, 1]")
-    out = np.asarray(2.0 * normal.pdf(normal.ppf((1.0 + delta) / 2.0)))
+    of subjects is randomized: 2 phi(tau), tau the window's upper edge."""
+    delta = _check_delta(delta)
+    gaussian = AssignmentDistribution.standard_gaussian()
+    tau = np.array([gaussian.central_window(d)[1] for d in delta.ravel().tolist()])
+    out = (2.0 * np.exp(-0.5 * tau * tau) / _SQRT2PI).reshape(delta.shape)
     return float(out) if out.ndim == 0 else out
 
 

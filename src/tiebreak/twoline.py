@@ -21,18 +21,11 @@ from .covariance import CoefCovariance, design_covariance
 from .designs import (UNIFORM_RANK, AssignmentDistribution, IntervalRule,
                       TieBreaker)
 from .errors import DomainError
-from .moments import central_zx_mean, gaussian_zx_mean
+from .moments import _check_delta, central_zx_mean, gaussian_zx_mean
 
 EFFECT_LABELS = ("beta2", "beta3")
 
 _GAUSSIAN = AssignmentDistribution.standard_gaussian()
-
-
-def _check_delta(delta) -> np.ndarray:
-    arr = np.asarray(delta, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("delta must lie in [0, 1]")
-    return arr
 
 
 def _effects(cov: CoefCovariance, full: bool) -> CoefCovariance:

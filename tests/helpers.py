@@ -214,9 +214,11 @@ def gaussian_tiebreaker_covariance(delta: float) -> np.ndarray:
     """The fair-coin window on Gaussian scores: with f = 2 phi(Phi^-1(
     (1 + delta)/2)), every variance is 1/(1 - f^2), couplings -f/(1 - f^2)."""
     f = 0.0
-    if delta < 1.0:
+    upper = (1.0 + delta) / 2.0
+    # Just below delta = 1 the half-sum rounds to 1, where inv_cdf raises.
+    if upper < 1.0:
         normal = NormalDist()
-        f = 2.0 * normal.pdf(normal.inv_cdf((1.0 + delta) / 2.0))
+        f = 2.0 * normal.pdf(normal.inv_cdf(upper))
     denom = 1.0 - f * f
     return _two_line_entries(1.0 / denom, 1.0 / denom, -f / denom)
 

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tiebreak
 from tiebreak import mc, quadratic, twoline
 from tiebreak.cli import main, parse_grid, parse_vector
 from tiebreak.covariance import CoefCovariance, design_covariance
@@ -21,6 +25,17 @@ _DISTRIBUTIONS = {"uniform-rank": AssignmentDistribution.uniform_rank(),
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def test_runtime_imports_need_only_numpy_and_click():
+    # Importing the package and its CLI loads no test-only dependency.
+    code = ("import sys, tiebreak, tiebreak.cli; print(sorted("
+            "{'scipy', 'hypothesis', 'pytest'} & {m.split('.')[0] for m in sys.modules}))")
+    src = os.path.dirname(os.path.dirname(tiebreak.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _rows(output):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 
-from tiebreak import normal
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               ScoreThresholdRule, SlidingScale,
                               ThreeLevelRule, TieBreaker, rank_transform,
                               subject_ranks, treatment_probability)
 from tiebreak.errors import DomainError
 from tiebreak.general import FeatureMatrix, expected_weights
+
+from helpers import bisect_normal_ppf
 
 
 def test_rank_transform_grid():
@@ -54,12 +56,17 @@ def test_uniform_rank_distribution():
 
 def test_gaussian_distribution():
     dist = AssignmentDistribution.standard_gaussian()
-    pts = dist.points(101)
-    np.testing.assert_allclose(pts, normal.ppf((np.arange(1, 102) - 0.5) / 101))
-    lo, hi = dist.central_window(0.5)
-    assert hi == -lo == pytest.approx(normal.ppf(0.75))
-    assert dist.central_window(0.0) == (0.0, 0.0)
-    assert dist.central_window(1.0) == (-np.inf, np.inf)
+    for n in (1, 2, 101, 4000, 20000):
+        pts = dist.points(n)
+        want = ndtri((np.arange(1, n + 1) - 0.5) / n)
+        assert np.all(np.abs(pts - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+        assert np.all(np.diff(pts) > 0.0)
+    assert dist.points(1)[0] == 0.0
+    with pytest.raises(DomainError):
+        dist.points(0)
+    for bad in (-0.1, 1.1, np.nan):
+        with pytest.raises(DomainError):
+            dist.central_window(bad)
 
 
 def test_empirical_distribution():
@@ -89,8 +96,9 @@ def test_rule_validation():
         ScoreThresholdRule((0.0, 0.0), 0.5)
     with pytest.raises(DomainError):
         ScoreThresholdRule((1.0,), -1.0)
-    with pytest.raises(DomainError):
-        ScoreThresholdRule((np.inf,), 0.5)
+    for theta, delta in (((np.inf,), 0.5), ((1.0, np.nan), 0.5), ((1.0,), np.nan)):
+        with pytest.raises(DomainError):
+            ScoreThresholdRule(theta, delta)
 
 
 def test_tiebreaker_probability_regions():
@@ -123,7 +131,7 @@ def test_score_threshold_probability():
 def test_gaussian_window_probability():
     rule = TieBreaker(0.5)
     dist = AssignmentDistribution.standard_gaussian()
-    tau = normal.ppf(0.75)
+    tau = ndtri(0.75)
     assert treatment_probability(tau + 1e-9, rule, dist) == 1.0
     assert treatment_probability(-tau - 1e-9, rule, dist) == 0.0
     assert treatment_probability(0.0, rule, dist) == 0.5
@@ -243,6 +251,28 @@ window_rules = st.one_of(
               st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), coin),
     st.builds(ThreeLevelRule, unit, st.floats(0.0, 0.5, exclude_max=True)),
 )
+
+
+@PROPERTY
+@given(unit)
+@example(0.0)
+@example(0.5)
+@example(1.0)
+@example(np.nextafter(1.0, 0.0))
+def test_gaussian_central_window(frac):
+    lo, hi = AssignmentDistribution.standard_gaussian().central_window(frac)
+    assert lo == -hi
+    want = ndtri((1.0 + frac) / 2.0)
+    if np.isinf(want):
+        assert hi == np.inf
+    else:
+        assert abs(hi - want) <= 1e-15 * max(1.0, want)
+        # Past tau = 4 the oracle's CDF rounding, divided by phi(tau),
+        # outgrows its tolerance.
+        if want < 4.0:
+            assert hi == pytest.approx(bisect_normal_ppf((1.0 + frac) / 2.0), abs=2e-9)
+    if frac == 0.5:
+        assert hi == pytest.approx(0.6744897501960817, abs=1e-15)
 
 
 def _edges_and_neighbours(lo, hi):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               SlidingScale, ThreeLevelRule, TieBreaker)
@@ -23,9 +25,9 @@ def quad_window_moment(rule, k, gaussian=False):
     if isinstance(rule, IntervalRule):
         lo, hi, levels = rule.a, rule.b, (0.0, rule.p, 1.0)
     else:
-        frac = rule.delta
-        hi = (math.inf if frac == 1.0 else
-              (NormalDist().inv_cdf((1.0 + frac) / 2.0) if gaussian else frac))
+        upper = (1.0 + rule.delta) / 2.0
+        hi = (rule.delta if not gaussian else
+              NormalDist().inv_cdf(upper) if upper < 1.0 else math.inf)
         lo = -hi
         levels = ((0.0, rule.p, 1.0) if isinstance(rule, TieBreaker)
                   else (rule.epsilon, 0.5, 1.0 - rule.epsilon))
@@ -62,10 +64,9 @@ def test_central_moments_vectorize_and_validate():
         [design_moments(TieBreaker(d))[1][3] for d in grid],
         (1 - grid ** 4) / 4, atol=1e-16)
     for fn in (central_zx_mean, gaussian_zx_mean):
-        with pytest.raises(DomainError):
-            fn(-0.2)
-        with pytest.raises(DomainError):
-            fn(1.2)
+        for bad in (-0.2, 1.2, np.nan):
+            with pytest.raises(DomainError, match=r"delta must lie in \[0, 1\]"):
+                fn(bad)
 
 
 def test_gaussian_zx_mean_frozen():
@@ -76,10 +77,9 @@ def test_gaussian_zx_mean_frozen():
 
 def test_gaussian_zx_mean_against_quadrature():
     # E[zx] = 2 int_tau^inf x phi(x) dx = 2 phi(tau) for the fair coin
-    from tiebreak import normal
     for delta in (0.2, 0.5, 0.8):
-        tau = normal.ppf((1 + delta) / 2)
-        val, err = quad(lambda x: 2 * x * normal.pdf(x), tau, np.inf)
+        tau = ndtri((1 + delta) / 2)
+        val, err = quad(lambda x: 2 * x * norm.pdf(x), tau, np.inf)
         assert gaussian_zx_mean(delta) == pytest.approx(val, abs=1e-10)
 
 
@@ -204,7 +204,8 @@ def test_rule_moments_gaussian():
     assert (mom.z_mean, mom.zx2_mean, mom.x2_mean) == (0.0, 0.0, 1.0)
     assert mom.zx_mean == pytest.approx(gaussian_zx_mean(0.5), abs=1e-15)
     for rule in (IntervalRule(-0.5, 0.8), TieBreaker(0.5, p=0.7),
-                 ThreeLevelRule(0.3, 0.2), TieBreaker(0.0), TieBreaker(1.0, p=0.3)):
+                 ThreeLevelRule(0.3, 0.2), TieBreaker(0.0), TieBreaker(1.0, p=0.3),
+                 TieBreaker(np.nextafter(1.0, 0.0))):
         x, w = design_moments(rule, GAUSSIAN)
         np.testing.assert_array_equal(x, [1.0, 0.0, 1.0, 0.0, 3.0])
         for k in range(5):

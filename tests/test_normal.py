@@ -1,88 +1,97 @@
+"""The standard normal quantile as the package uses it.
+
+The Gaussian scale takes its quantiles from `statistics.NormalDist` in
+exactly two places: `AssignmentDistribution.points` (the midpoints
+Phi^-1((i - 1/2)/n)) and `central_window` (tau = Phi^-1((1 + frac)/2)).
+These tests hold both, and `gaussian_zx_mean` built on the window, to
+independent oracles.
+"""
+
+import math
+
 import numpy as np
 import pytest
 import scipy.special as sps
 
-from tiebreak import normal
+from tiebreak.designs import AssignmentDistribution
 from tiebreak.errors import DomainError
+from tiebreak.moments import gaussian_zx_mean
 
-from helpers import bisect_normal_ppf, simpson_normal_cdf
+from helpers import bisect_normal_ppf
 
-
-def test_cdf_matches_simpson_oracle():
-    for z in (-3.7, -1.0, -0.2, 0.0, 0.4, 1.5, 2.9):
-        assert normal.cdf(z) == pytest.approx(simpson_normal_cdf(z), abs=1e-12)
+GAUSSIAN = AssignmentDistribution.standard_gaussian()
 
 
-def test_cdf_basics():
-    assert normal.cdf(0.0) == 0.5
-    assert normal.cdf(40.0) == 1.0
-    assert normal.cdf(-40.0) == 0.0
-    # symmetry
-    grid = np.linspace(-5, 5, 41)
-    np.testing.assert_allclose(normal.cdf(grid) + normal.cdf(-grid), 1.0,
-                               atol=1e-15)
-
-
-def test_pdf_is_cdf_derivative():
-    h = 1e-6
-    for z in (-2.3, -0.7, 0.0, 1.1, 3.0):
-        numeric = (normal.cdf(z + h) - normal.cdf(z - h)) / (2 * h)
-        assert normal.pdf(z) == pytest.approx(numeric, rel=1e-8)
+def _tau(frac):
+    lo, hi = GAUSSIAN.central_window(frac)
+    assert lo == -hi
+    return hi
 
 
 def test_ppf_against_bisection_oracle():
     for p in (0.01, 0.2, 0.5, 0.77, 0.975):
-        assert normal.ppf(p) == pytest.approx(bisect_normal_ppf(p), abs=2e-9)
+        tau = _tau(abs(2.0 * p - 1.0))
+        z = tau if p >= 0.5 else -tau
+        assert z == pytest.approx(bisect_normal_ppf(p), abs=2e-9)
 
 
 def test_ppf_against_scipy_across_range():
-    p = np.concatenate([
-        np.geomspace(1e-300, 1e-2, 200),
-        np.linspace(0.01, 0.99, 500),
-        1.0 - np.geomspace(1e-16, 1e-2, 200),
+    # Window edges reach into the upper tail up to the last float below 1.
+    fracs = np.concatenate([
+        np.linspace(0.0, 0.98, 500),
+        1.0 - np.geomspace(2.3e-16, 2e-2, 200),
     ])
-    ours = normal.ppf(p)
-    ref = sps.ndtri(p)
-    scale = np.maximum(1.0, np.abs(ref))
-    assert np.max(np.abs(ours - ref) / scale) < 1e-14
+    ours = np.array([_tau(f) for f in fracs.tolist()])
+    ref = sps.ndtri((1.0 + fracs) / 2.0)
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(ours), finite)
+    scale = np.maximum(1.0, np.abs(ref[finite]))
+    assert np.max(np.abs(ours[finite] - ref[finite]) / scale) < 1e-14
+    # Design points reach into the lower tail down to 1/(2n).
+    n = 4000
+    pts = GAUSSIAN.points(n)
+    ref = sps.ndtri((np.arange(1, n + 1) - 0.5) / n)
+    assert np.max(np.abs(pts - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
 
 
 def test_ppf_round_trip():
-    # Above z of about 4.5, cdf(z) rounds to within an ulp of 1 and the
-    # tail is unrecoverable from p alone; below that the round trip is
-    # limited only by the dp -> dz amplification 1/pdf(z).
-    z = np.linspace(-8.0, 4.0, 121)
-    np.testing.assert_allclose(normal.ppf(normal.cdf(z)), z, atol=2e-11)
-
-
-def test_cdf_round_trip_small_p():
-    # The lower tail keeps full relative precision in both directions.
-    p = np.geomspace(1e-250, 0.5, 300)
-    np.testing.assert_allclose(normal.cdf(normal.ppf(p)), p, rtol=1e-12)
+    # Above z of about 4.5, Phi(z) rounds to within an ulp of 1 and the
+    # tail is unrecoverable from the fraction alone; below that the round
+    # trip is limited only by the dp -> dz amplification 1/pdf(z).
+    z = np.linspace(0.0, 4.0, 81)
+    taus = [_tau(math.erf(v / math.sqrt(2.0))) for v in z.tolist()]
+    np.testing.assert_allclose(taus, z, atol=2e-11)
 
 
 def test_ppf_endpoints_and_center():
-    assert normal.ppf(0.0) == -np.inf
-    assert normal.ppf(1.0) == np.inf
-    assert normal.ppf(0.5) == 0.0
+    assert GAUSSIAN.central_window(1.0) == (-math.inf, math.inf)
+    assert GAUSSIAN.central_window(np.nextafter(1.0, 0.0)) == (-math.inf, math.inf)
+    assert _tau(0.0) == 0.0
+    assert GAUSSIAN.points(1)[0] == 0.0
 
 
 def test_ppf_quartiles_symmetric():
-    q = normal.ppf(0.75)
-    assert normal.ppf(0.25) == -q
+    q = _tau(0.5)
+    lower, upper = GAUSSIAN.points(2)
+    assert lower == -upper == -q
     assert q == pytest.approx(0.6744897501960817, abs=1e-13)
 
 
 def test_ppf_rejects_out_of_range():
     for bad in (-0.1, 1.1, np.nan):
         with pytest.raises(DomainError):
-            normal.ppf(bad)
+            GAUSSIAN.central_window(bad)
+        with pytest.raises(DomainError):
+            gaussian_zx_mean(bad)
     with pytest.raises(DomainError):
-        normal.ppf(np.array([0.3, 2.0]))
+        gaussian_zx_mean(np.array([0.3, 2.0]))
+    with pytest.raises(DomainError):
+        GAUSSIAN.points(0)
 
 
 def test_shapes_preserved():
-    p = np.array([[0.1, 0.5], [0.9, 0.3]])
-    assert normal.ppf(p).shape == (2, 2)
-    assert isinstance(normal.ppf(0.3), float)
-    assert isinstance(normal.cdf(0.3), float)
+    delta = np.array([[0.1, 0.5], [0.9, 0.3]])
+    assert gaussian_zx_mean(delta).shape == (2, 2)
+    assert isinstance(gaussian_zx_mean(0.3), float)
+    assert all(isinstance(v, float) for v in GAUSSIAN.central_window(0.3))
+    assert GAUSSIAN.points(7).shape == (7,)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tiebreak.covariance import CoefCovariance, design_covariance, schur_inverse
 from tiebreak.designs import AssignmentDistribution, IntervalRule
@@ -282,6 +282,7 @@ def _close(got, want, rtol=1e-12):
 
 @PROPERTY
 @given(unit)
+@example(np.nextafter(1.0, 0.0))
 def test_window_covariances_match_closed_forms(delta):
     _close(covariance_uniform(delta, full=True).matrix,
            uniform_tiebreaker_covariance(delta))
@@ -305,6 +306,7 @@ def test_noncentral_matches_gram_inverse(ends, p):
 
 @PROPERTY
 @given(unit, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+@example(np.nextafter(1.0, 0.0), [0.0, 1.5])
 def test_var_gain_is_effect_quadratic_form(delta, xs):
     for dist, fn in ((None, covariance_uniform), (GAUSSIAN, covariance_gaussian)):
         cov = fn(delta, full=True)
