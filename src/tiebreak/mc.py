@@ -3,8 +3,11 @@
 Each replicate holds the design fixed (the same quantile-spaced x and
 the same rule), redraws the arms and the noise, refits by least squares,
 and the scatter of the fitted coefficients across replicates estimates
-N Var(bhat). The refit goes through the same Schur inverse as the
-closed-form reference. The replicate streams are counter-based:
+N Var(bhat). The replicate loop only draws and reduces: each replicate
+leaves its sufficient statistics F'(zF), F'y and (zF)'y, and the fit
+runs afterwards as one stacked Schur inverse per block of replicates,
+the same inverse as the closed-form reference. ols_fit is the
+one-replicate case of that fit. The replicate streams are counter-based:
 replicate r of a run seeded s uses the generator keyed (s, r), so any
 replicate can be reproduced alone, the full run is independent of
 execution order, and two runs with the same seed agree bit for bit.
@@ -32,6 +35,10 @@ STRATIFIED_PAIRS = "stratified-pairs"
 
 DEGENERATE_FRACTION_LIMIT = 0.01
 
+# Replicates per stacked Schur inverse: the fit's temporaries stay a few
+# (block, d, d) stacks however many replicates a run has.
+_FIT_BLOCK = 1024
+
 
 def design_matrix(x: np.ndarray, model: str = TWOLINE) -> np.ndarray:
     """Baseline regressors per subject: [1, x] or [1, x, x^2]."""
@@ -41,6 +48,44 @@ def design_matrix(x: np.ndarray, model: str = TWOLINE) -> np.ndarray:
     if model == QUADRATIC:
         return np.column_stack([np.ones_like(x), x, x * x])
     raise DomainError(f"unknown model {model!r}")
+
+
+def _arm_probabilities(x: np.ndarray, rule: DesignRule,
+                       distribution: AssignmentDistribution | None,
+                       scheme: str) -> np.ndarray:
+    """Pr(z = +1 | x), checked against the assignment scheme."""
+    probs = np.asarray(treatment_probability(x, rule, distribution), dtype=float)
+    if scheme == STRATIFIED_PAIRS:
+        if not np.all((probs == 0.5) | (probs == 0.0) | (probs == 1.0)):
+            raise DomainError("stratified pairing needs arm probabilities of "
+                              "exactly 0, 1/2, or 1")
+    elif scheme != SIMPLE_RANDOM:
+        raise DomainError(f"unknown assignment scheme {scheme!r}")
+    return probs
+
+
+def _draw_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.ndarray:
+    us = rng.random(probs.size)
+    if scheme == SIMPLE_RANDOM:
+        return np.where(us < probs, 1.0, -1.0)
+    z = np.where(probs >= 1.0, 1.0, -1.0)
+    idx = np.flatnonzero(probs == 0.5)
+    npairs = idx.size // 2
+    if npairs:
+        firsts = idx[: 2 * npairs : 2]
+        seconds = idx[1 : 2 * npairs : 2]
+        first_treated = us[firsts] < 0.5
+        z[firsts] = np.where(first_treated, 1.0, -1.0)
+        z[seconds] = np.where(first_treated, -1.0, 1.0)
+    if idx.size % 2:
+        i = idx[-1]
+        z[i] = 1.0 if us[i] < 0.5 else -1.0
+    return z
+
+
+def _draw_outcomes(rng: np.random.Generator, m1: np.ndarray, m2: np.ndarray,
+                   z: np.ndarray, sigma: float) -> np.ndarray:
+    return m1 + z * m2 + sigma * rng.standard_normal(m1.size)
 
 
 def sample_assignment(rng: np.random.Generator, x: np.ndarray, rule: DesignRule,
@@ -58,38 +103,49 @@ def sample_assignment(rng: np.random.Generator, x: np.ndarray, rule: DesignRule,
     odd; it requires every probability to be 0, 1/2, or 1.
     """
     x = np.asarray(x, dtype=float)
-    probs = np.asarray(treatment_probability(x, rule, distribution), dtype=float)
-    us = rng.random(x.size)
-    if scheme == SIMPLE_RANDOM:
-        return np.where(us < probs, 1.0, -1.0)
-    if scheme != STRATIFIED_PAIRS:
-        raise DomainError(f"unknown assignment scheme {scheme!r}")
-    coin = probs == 0.5
-    if not np.all(coin | (probs == 0.0) | (probs == 1.0)):
-        raise DomainError("stratified pairing needs arm probabilities of "
-                          "exactly 0, 1/2, or 1")
-    z = np.where(probs >= 1.0, 1.0, -1.0)
-    idx = np.flatnonzero(coin)
-    npairs = idx.size // 2
-    if npairs:
-        firsts = idx[: 2 * npairs : 2]
-        seconds = idx[1 : 2 * npairs : 2]
-        first_treated = us[firsts] < 0.5
-        z[firsts] = np.where(first_treated, 1.0, -1.0)
-        z[seconds] = np.where(first_treated, -1.0, 1.0)
-    if idx.size % 2:
-        i = idx[-1]
-        z[i] = 1.0 if us[i] < 0.5 else -1.0
-    return z
+    return _draw_arms(rng, _arm_probabilities(x, rule, distribution, scheme), scheme)
 
 
 def simulate_outcomes(rng: np.random.Generator, features: np.ndarray,
                       z: np.ndarray, baseline: np.ndarray,
                       interaction: np.ndarray, sigma: float) -> np.ndarray:
     """Draw outcomes y = F b + z (F g) + sigma * noise."""
-    m1 = features @ baseline
-    m2 = features @ interaction
-    return m1 + z * m2 + sigma * rng.standard_normal(features.shape[0])
+    return _draw_outcomes(rng, features @ baseline, features @ interaction, z, sigma)
+
+
+def _products(features: np.ndarray) -> np.ndarray:
+    """The n x d^2 columns F_j F_l, so that z @ products is F'(zF) flattened."""
+    return (features[:, :, None] * features[:, None, :]).reshape(len(features), -1)
+
+
+def _reduce(products: np.ndarray, features: np.ndarray, z: np.ndarray, y: np.ndarray):
+    """One replicate's sufficient statistics: F'(zF) flattened, F'y, (zF)'y."""
+    return z @ products, y @ features, (z * y) @ features
+
+
+def _fit_stacked(gram: np.ndarray, bz: np.ndarray, cf: np.ndarray, cz: np.ndarray):
+    """Joint least-squares coefficients of stacked replicates, in natural order.
+
+    Row r of bz, cf and cz holds replicate r's statistics from _reduce;
+    gram = F'F is shared. Each block of _FIT_BLOCK replicates makes one
+    stacked schur_inverse call, whose inverse [[V, C], [C', V]] gives the
+    coefficients (V cf + C cz, C'cf + V cz). Returns (coefs, reasons):
+    reasons[r] is None, or why replicate r's design was refused and its
+    row of coefs is NaN.
+    """
+    reps, d = cf.shape
+    coefs = np.empty((reps, 2 * d))
+    reasons = []
+    for start in range(0, reps, _FIT_BLOCK):
+        rows = slice(start, start + _FIT_BLOCK)
+        var, cross, why = schur_inverse(gram, bz[rows].reshape(-1, d, d))
+        rhs_f, rhs_z = cf[rows, :, None], cz[rows, :, None]
+        coefs[rows, :d] = (var @ rhs_f + cross @ rhs_z)[:, :, 0]
+        coefs[rows, d:] = (cross.transpose(0, 2, 1) @ rhs_f + var @ rhs_z)[:, :, 0]
+        reasons += why
+    if d == 3:
+        coefs = coefs[:, _QUADRATIC_FIT_TO_NATURAL]
+    return coefs, reasons
 
 
 def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray,
@@ -98,23 +154,20 @@ def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray,
 
     The regressors are [F | zF]; because z^2 = 1 both diagonal Gram
     blocks equal A = F'F, so only the cross block B depends on the
-    replicate. Pass gram=F'F to amortize it across replicates. The Gram
-    inverse is [[V, C], [C', V]] from schur_inverse; a design it rejects
-    raises RankDeficientError.
+    replicate. Pass gram=F'F to amortize it. This is the one-replicate
+    case of the Monte Carlo's stacked fit: the statistics F'(zF), F'y
+    and (zF)'y go through the same Schur inverse, and a design it
+    rejects raises RankDeficientError.
     """
     f = np.ascontiguousarray(features, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    zf = np.ascontiguousarray(z, dtype=float)[:, None] * f
-    bz, cf, cz = f.T @ zf, f.T @ y, zf.T @ y
-    a = f.T @ f if gram is None else gram
-    try:
-        var, cross = schur_inverse(a, bz)
-    except DegenerateDesignError as exc:
-        raise RankDeficientError(str(exc)) from None
-    coef = np.concatenate([var @ cf + cross @ cz, cross.T @ cf + var @ cz])
-    if f.shape[1] == 3:
-        coef = coef[list(_QUADRATIC_FIT_TO_NATURAL)]
-    return coef
+    z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    stats = _reduce(_products(f), f, z, y)
+    coefs, reasons = _fit_stacked(f.T @ f if gram is None else gram,
+                                  *(s[None] for s in stats))
+    if reasons[0] is not None:
+        raise RankDeficientError(reasons[0])
+    return coefs[0]
 
 
 def empirical_covariance(coefs: np.ndarray, n: int) -> np.ndarray:
@@ -246,6 +299,33 @@ def closed_form_reference(config: SimConfig) -> CoefCovariance:
     return design_covariance(config.rule, config.distribution, config.model)
 
 
+def _replicate_fits(config: SimConfig):
+    """Every replicate's fitted coefficients and which ones were degenerate.
+
+    The loop only draws and reduces: the arm probabilities, the means
+    F b and F g and the products F_j F_l are fixed for the run, and each
+    replicate leaves three rows of sufficient statistics. The fit then
+    runs stacked, once per block of replicates. Degenerate rows are NaN.
+    """
+    x = config.distribution.points(config.n)
+    features = np.ascontiguousarray(design_matrix(x, config.model))
+    probs = _arm_probabilities(x, config.rule, config.distribution, config.scheme)
+    m1 = features @ np.asarray(config.baseline)
+    m2 = features @ np.asarray(config.interaction)
+    products = _products(features)
+    d = features.shape[1]
+    bz = np.empty((config.reps, d * d))
+    cf = np.empty((config.reps, d))
+    cz = np.empty((config.reps, d))
+    for rep in range(config.reps):
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
+        z = _draw_arms(rng, probs, config.scheme)
+        y = _draw_outcomes(rng, m1, m2, z, config.sigma)
+        bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)
+    coefs, reasons = _fit_stacked(features.T @ features, bz, cf, cz)
+    return coefs, np.array([r is not None for r in reasons])
+
+
 def run_simulation(config: SimConfig,
                    reference: CoefCovariance | None = None) -> SimReport:
     """Run the replicates and compare against the closed form.
@@ -257,34 +337,18 @@ def run_simulation(config: SimConfig,
     if reference is None:
         reference = closed_form_reference(config)
     labels = config.labels()
-    k = len(labels)
-    x = config.distribution.points(config.n)
-    features = np.ascontiguousarray(design_matrix(x, config.model))
-    gram = features.T @ features
-    baseline = np.asarray(config.baseline)
-    interaction = np.asarray(config.interaction)
-    coefs = np.empty((config.reps, k))
-    used = 0
-    degenerate = 0
-    for rep in range(config.reps):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
-        z = sample_assignment(rng, x, config.rule, config.distribution,
-                              config.scheme)
-        y = simulate_outcomes(rng, features, z, baseline, interaction,
-                              config.sigma)
-        try:
-            coefs[used] = ols_fit(features, z, y, gram=gram)
-            used += 1
-        except RankDeficientError:
-            degenerate += 1
+    coefs, bad = _replicate_fits(config)
+    degenerate = int(np.count_nonzero(bad))
     if degenerate > DEGENERATE_FRACTION_LIMIT * config.reps:
         raise DegenerateDesignError(
             f"{degenerate} of {config.reps} replicates were rank deficient")
-    empirical = empirical_covariance(coefs[:used], config.n)
+    coefs = coefs[~bad]
+    used = len(coefs)
+    empirical = empirical_covariance(coefs, config.n)
     ref_mat = reference.matrix * config.sigma ** 2
     se = np.sqrt((np.outer(np.diag(ref_mat), np.diag(ref_mat)) + ref_mat ** 2) / used)
     max_dev = float(np.max(np.abs(empirical - ref_mat) / se))
     return SimReport(config=config, labels=labels,
-                     coef_mean=coefs[:used].mean(axis=0), empirical=empirical,
+                     coef_mean=coefs.mean(axis=0), empirical=empirical,
                      se=se, reference=ref_mat, max_dev_se=max_dev,
                      degenerate=degenerate, reps_used=used)

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the package internals:
 least squares by modified Gram-Schmidt, Gram matrices by double loops,
 the normal quantile by bisecting a Simpson-integrated CDF, random
-monotone allocation scales built from scratch, and the paper's
-hand-derived closed forms for the window rules. Tests compare package
+monotone allocation scales built from scratch, the Monte Carlo replicate
+loop fitted one replicate at a time, and the paper's hand-derived closed
+forms for the window rules. Tests compare package
 output against these, not against other package output.
 """
 
@@ -15,7 +16,10 @@ from statistics import NormalDist
 
 import numpy as np
 
+from tiebreak import mc
+from tiebreak.covariance import _QUADRATIC_FIT_TO_NATURAL, schur_inverse
 from tiebreak.designs import SlidingScale
+from tiebreak.errors import DegenerateDesignError
 
 
 def mgs_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -63,6 +67,42 @@ def brute_design(features: np.ndarray, theta, delta: float, p: float):
     except np.linalg.LinAlgError:
         joint = None
     return w, a, b, joint
+
+
+def loop_replicate_fits(config: mc.SimConfig):
+    """The Monte Carlo replicate loop with one least-squares fit per replicate.
+
+    Per replicate: the Philox stream keyed (seed, rep), the public
+    sample_assignment and simulate_outcomes draws, then the joint fit from
+    F'(zF), F'y and (zF)'y through a 2-D Schur inverse, a refused design
+    caught and marked. Returns the coefficients in natural order (NaN rows
+    where degenerate), the degenerate mask, and the condition number of
+    each realized Schur complement A - B A^-1 B.
+    """
+    x = config.distribution.points(config.n)
+    f = mc.design_matrix(x, config.model)
+    baseline, interaction = np.asarray(config.baseline), np.asarray(config.interaction)
+    a = f.T @ f
+    d = f.shape[1]
+    coefs = np.full((config.reps, 2 * d), np.nan)
+    degenerate = np.zeros(config.reps, dtype=bool)
+    schur_cond = np.empty(config.reps)
+    for rep in range(config.reps):
+        rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
+        z = mc.sample_assignment(rng, x, config.rule, config.distribution, config.scheme)
+        y = mc.simulate_outcomes(rng, f, z, baseline, interaction, config.sigma)
+        zf = z[:, None] * f
+        b = f.T @ zf
+        schur_cond[rep] = np.linalg.cond(a - b @ np.linalg.solve(a, b))
+        try:
+            var, cross = schur_inverse(a, b)
+        except DegenerateDesignError:
+            degenerate[rep] = True
+            continue
+        cf, cz = f.T @ y, zf.T @ y
+        coef = np.concatenate([var @ cf + cross @ cz, cross.T @ cf + var @ cz])
+        coefs[rep] = coef[list(_QUADRATIC_FIT_TO_NATURAL)] if d == 3 else coef
+    return coefs, degenerate, schur_cond
 
 
 def simpson_normal_cdf(z: float, panels: int = 400) -> float:

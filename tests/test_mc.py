@@ -12,7 +12,8 @@ from tiebreak.covariance import schur_inverse
 from tiebreak.twoline import covariance_gaussian
 from tiebreak.quadratic import covariance_quadratic
 
-from helpers import mgs_lstsq, twoline_gram, uniform_tiebreaker_covariance
+from helpers import (loop_replicate_fits, mgs_lstsq, twoline_gram,
+                     uniform_tiebreaker_covariance)
 
 
 def _window_mask(x, delta):
@@ -69,12 +70,20 @@ class TestSampleAssignment:
         pair_sums = z[idx[:2 * npairs:2]] + z[idx[1:2 * npairs:2]]
         np.testing.assert_array_equal(pair_sums, np.zeros(npairs))
 
-    def test_stratified_rejects_biased_coin(self):
+    def test_stratified_rejects_biased_coin(self, monkeypatch):
         x = AssignmentDistribution.uniform_rank().points(50)
         rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="stratified pairing"):
             mc.sample_assignment(rng, x, TieBreaker(0.5, p=0.3),
                                  scheme=mc.STRATIFIED_PAIRS)
+        # A run refuses the rule once, before any replicate stream exists.
+        def no_streams(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+        monkeypatch.setattr(np.random, "Philox", no_streams)
+        config = mc.SimConfig(rule=TieBreaker(0.5, p=0.3), n=50, reps=10,
+                              scheme=mc.STRATIFIED_PAIRS)
+        with pytest.raises(DomainError, match="stratified pairing"):
+            mc.run_simulation(config)
 
     def test_unknown_scheme_rejected(self):
         rng = np.random.default_rng(0)
@@ -349,6 +358,102 @@ class TestRunSimulation:
         assert paired.std() < 1e-6
         assert abs(simple.mean() - 1.0) < 0.02
         assert abs(paired.mean() - 1.0) < 1e-6
+
+
+def _column_relative_gap(got, want):
+    """Largest |got - want| per coefficient, relative to that coefficient's
+    largest magnitude over the replicates."""
+    return float((np.abs(got - want) / np.abs(want).max(axis=0)).max())
+
+
+class TestStackedFit:
+    """The stacked fit of run_simulation against the replicate loop that
+    fits one replicate at a time. The two sum the Gram blocks in different
+    orders, so coefficients agree to rounding, and the degenerate rule
+    must flag the same replicates."""
+
+    # Windows at the top or bottom of a small sample, where many
+    # replicates realize a single arm somewhere the fit needs both:
+    # (0.8, 1), (-1, -0.8) and (0.5, 1) at 400 replicates, seed 0.
+    EDGE_COUNTS = {20: (297, 303, 69), 26: (204, 211, 47),
+                   31: (210, 211, 15), 40: (135, 132, 5)}
+
+    @pytest.mark.parametrize("n", sorted(EDGE_COUNTS))
+    def test_edge_windows_match_the_loop(self, n):
+        rules = (IntervalRule(0.8, 1.0), IntervalRule(-1.0, -0.8),
+                 IntervalRule(0.5, 1.0))
+        for rule, count in zip(rules, self.EDGE_COUNTS[n]):
+            config = mc.SimConfig(rule=rule, n=n, reps=400, seed=0)
+            coefs, degenerate = mc._replicate_fits(config)
+            want, want_degenerate, _ = loop_replicate_fits(config)
+            np.testing.assert_array_equal(degenerate, want_degenerate)
+            assert np.count_nonzero(degenerate) == count
+            assert np.all(np.isnan(coefs[degenerate]))
+            ok = ~degenerate
+            assert _column_relative_gap(coefs[ok], want[ok]) < 1e-10
+
+    @pytest.mark.parametrize("config", [
+        mc.SimConfig(rule=TieBreaker(0.5), n=4000, reps=50),
+        mc.SimConfig(rule=TieBreaker(0.5), n=4000, reps=50,
+                     distribution=AssignmentDistribution.standard_gaussian()),
+        mc.SimConfig(rule=TieBreaker(0.0), model=mc.QUADRATIC, n=4000, reps=50),
+        mc.SimConfig(rule=IntervalRule(0.6, 0.8), n=20000, reps=50),
+    ], ids=["tiebreaker", "gaussian", "quadratic-cutoff", "interval-20000"])
+    def test_criterion_07_sizes_match_the_loop(self, config):
+        coefs, degenerate = mc._replicate_fits(config)
+        want, want_degenerate, _ = loop_replicate_fits(config)
+        assert not degenerate.any() and not want_degenerate.any()
+        assert _column_relative_gap(coefs, want) < 1e-12
+
+    def test_blocks_cover_every_replicate(self, monkeypatch):
+        config = mc.SimConfig(rule=TieBreaker(0.5), n=60, reps=23, seed=4)
+        whole, _ = mc._replicate_fits(config)
+        monkeypatch.setattr(mc, "_FIT_BLOCK", 5)
+        blocked, _ = mc._replicate_fits(config)
+        np.testing.assert_array_equal(blocked, whole)
+
+    def test_stratified_pairs_run(self):
+        config = mc.SimConfig(rule=TieBreaker(1.0), n=2000, reps=400, seed=6,
+                              scheme=mc.STRATIFIED_PAIRS)
+        report = mc.run_simulation(config)
+        assert report.max_dev_se < 4.0
+        assert report.reps_used == 400
+        coefs, degenerate = mc._replicate_fits(config)
+        want, want_degenerate, _ = loop_replicate_fits(config)
+        np.testing.assert_array_equal(degenerate, want_degenerate)
+        assert _column_relative_gap(coefs, want) < 1e-12
+        np.testing.assert_allclose(report.empirical,
+                                   mc.empirical_covariance(want, config.n),
+                                   rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stacked_fit_matches_the_loop(data):
+    # Random windows and designs, with every outcome term switched on.
+    # The two fits sum in different orders, so coefficients may differ by
+    # rounding amplified by the realized Schur complement's condition.
+    a, b = sorted(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2,
+                                     max_size=2)))
+    scheme = data.draw(st.sampled_from((mc.SIMPLE_RANDOM, mc.STRATIFIED_PAIRS)))
+    p = 0.5 if scheme == mc.STRATIFIED_PAIRS else data.draw(st.floats(0.01, 0.99))
+    model = data.draw(st.sampled_from((mc.TWOLINE, mc.QUADRATIC)))
+    width = 2 if model == mc.TWOLINE else 3
+    coef = st.lists(st.floats(-2.0, 2.0).filter(lambda v: abs(v) > 1e-3),
+                    min_size=width, max_size=width)
+    config = mc.SimConfig(rule=IntervalRule(a, b, p), model=model,
+                          n=data.draw(st.integers(8, 300)), reps=12,
+                          seed=data.draw(st.integers(0, 2 ** 32)),
+                          sigma=data.draw(st.floats(0.1, 3.0)),
+                          baseline=data.draw(coef), interaction=data.draw(coef),
+                          scheme=scheme)
+    coefs, degenerate = mc._replicate_fits(config)
+    want, want_degenerate, schur_cond = loop_replicate_fits(config)
+    np.testing.assert_array_equal(degenerate, want_degenerate)
+    ok = ~degenerate
+    gap = np.abs(coefs[ok] - want[ok]).max(axis=1)
+    scale = np.abs(want[ok]).max(axis=1)
+    assert np.all(gap <= 1e-12 * schur_cond[ok] * scale)
 
 
 class TestSimReport:
