@@ -14,6 +14,7 @@ Schur inverse with sample sums, under the same degeneracy rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,11 @@ QUADRATIC_LABELS = ("beta0", "beta1", "beta2", "beta3", "beta4", "beta5")
 # interactions second; this maps the quadratic fit order
 # (b0, b1, b4, b2, b3, b5) back to natural order.
 _QUADRATIC_FIT_TO_NATURAL = (0, 1, 3, 4, 2, 5)
+_QUADRATIC_PERMUTATION = np.ix_(_QUADRATIC_FIT_TO_NATURAL, _QUADRATIC_FIT_TO_NATURAL)
+
+# Hankel index of the largest model: entry (i, j) of A and B is the
+# moment of order i + j; a model with d baseline terms takes [:d, :d].
+_HANKEL = np.add.outer(np.arange(3), np.arange(3))
 
 # A Gram block or Schur complement with a larger condition number is
 # treated as singular: the design carries no usable information.
@@ -51,6 +57,18 @@ _SCHUR_REASONS = ("feature Gram matrix is ill-conditioned", "singular normal equ
                   "design is ill-conditioned: expected arms nearly reproduce the features")
 
 
+def _check_finite(m: np.ndarray):
+    if not np.isfinite(m).all():
+        raise DegenerateDesignError("covariance contains non-finite entries")
+
+
+def _check_definite(m: np.ndarray):
+    eigs = np.linalg.eigvalsh(m)
+    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
+        raise DegenerateDesignError(
+            "covariance is not positive definite (degenerate design)")
+
+
 @dataclass(frozen=True)
 class CoefCovariance:
     """Symmetric positive-definite N * Var matrix with coefficient labels."""
@@ -66,19 +84,34 @@ class CoefCovariance:
             raise DomainError("covariance matrix must be square")
         if len(labels) != m.shape[0]:
             raise DomainError("label count must equal matrix dimension")
-        if not np.all(np.isfinite(m)):
-            raise DegenerateDesignError("covariance contains non-finite entries")
+        _check_finite(m)
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > _SYM_TOL * scale:
             raise DomainError("covariance matrix is not symmetric")
         m = 0.5 * (m + m.T)
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
-            raise DegenerateDesignError(
-                "covariance is not positive definite (degenerate design)")
+        _check_definite(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], matrix: np.ndarray) -> "CoefCovariance":
+        """An engine-built covariance: labels a tuple of str, matrix a
+        fresh, exactly symmetric square array that nothing else holds.
+
+        Copying, the symmetry test and 0.5 (m + m') are identities on such
+        a matrix and are skipped; the finiteness and positive-definiteness
+        tests run as in the public constructor. The matrix becomes
+        read-only.
+        """
+        _check_finite(matrix)
+        _check_definite(matrix)
+        matrix.setflags(write=False)
+        cov = object.__new__(cls)
+        object.__setattr__(cov, "labels", labels)
+        object.__setattr__(cov, "matrix", matrix)
+        object.__setattr__(cov, "n_scaled", True)
+        return cov
 
     @property
     def dim(self) -> int:
@@ -131,7 +164,9 @@ def schur_inverse(a: np.ndarray, b: np.ndarray):
     each item as its own 2-D call: reasons[i] is None or why V[i] is NaN.
     """
     b = np.asarray(b, dtype=float)
-    stacked, d = b.ndim == 3, b.shape[-1]
+    if b.ndim == 2:
+        return _schur_pair(np.asarray(a, dtype=float), b)
+    d = b.shape[-1]
     a = np.asarray(a, dtype=float).reshape(-1, d, d)
     b = b.reshape(-1, d, d)
     # Degenerate items become the identity before each LAPACK call, which
@@ -167,11 +202,30 @@ def schur_inverse(a: np.ndarray, b: np.ndarray):
         codes = np.where(gram_bad, 0, np.where(singular, 1, 2))
         for i in np.flatnonzero(bad):
             reasons[i] = _SCHUR_REASONS[codes[i]]
-    if stacked:
-        return var, cross, reasons
-    if degenerate:
-        raise DegenerateDesignError(reasons[0])
-    return var[0], cross[0]
+    return var, cross, reasons
+
+
+def _schur_pair(a: np.ndarray, b: np.ndarray):
+    """schur_inverse of one (A, B) pair: the stacked body's LAPACK calls
+    and tests on one item, raising at the first test that fails."""
+    a_max = float(np.abs(a).max())
+    if not 0.0 < a_max < math.inf:
+        raise DegenerateDesignError(_SCHUR_REASONS[0])
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] * CONDITION_LIMIT < sv[0]:
+        raise DegenerateDesignError(_SCHUR_REASONS[0])
+    a_inv_b = np.linalg.solve(a, b)
+    schur = a - b @ a_inv_b
+    schur = 0.5 * (schur + schur.T)
+    schur_max = float(np.abs(schur).max())
+    if not math.isfinite(schur_max):
+        raise DegenerateDesignError(_SCHUR_REASONS[1])
+    sv = np.linalg.svd(schur, compute_uv=False)
+    if sv[-1] * CONDITION_LIMIT < sv[0] or schur_max * CONDITION_LIMIT <= a_max:
+        raise DegenerateDesignError(_SCHUR_REASONS[2])
+    var = np.linalg.inv(schur)
+    var = 0.5 * (var + var.T)
+    return var, -a_inv_b @ var
 
 
 def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovariance:
@@ -183,7 +237,7 @@ def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovaria
     """
     labels = model_labels(model)
     d = len(labels) // 2
-    idx = np.add.outer(np.arange(d), np.arange(d))
+    idx = _HANKEL[:d, :d]
     var, cross = schur_inverse(_MOMENT_SCALE * np.asarray(x_moments, dtype=float)[idx],
                                _MOMENT_SCALE * np.asarray(w_moments, dtype=float)[idx])
     full = np.empty((2 * d, 2 * d))
@@ -191,8 +245,10 @@ def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovaria
     full[:d, d:] = _MOMENT_SCALE * cross
     full[d:, :d] = full[:d, d:].T
     if model == QUADRATIC:
-        full = full[np.ix_(_QUADRATIC_FIT_TO_NATURAL, _QUADRATIC_FIT_TO_NATURAL)]
-    return CoefCovariance(labels, full)
+        full = full[_QUADRATIC_PERMUTATION]
+    # var is symmetrized by schur_inverse and the cross blocks are each
+    # other's transposes, so full is exactly symmetric.
+    return CoefCovariance._trusted(labels, full)
 
 
 def design_covariance(rule, distribution: AssignmentDistribution | None = None,

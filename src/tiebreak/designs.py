@@ -202,7 +202,11 @@ class SlidingScale:
         self._func = func
         self._breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self._table = table
-        self._validate_range()
+        # from_table has checked that a table's knots are finite and its p
+        # values lie in [0, 1]; linear interpolation with constant
+        # extension stays within [min p, max p], so the probe cannot fail.
+        if table is None:
+            self._validate_range()
 
     def _validate_range(self):
         probe = np.union1d(np.linspace(-1.0, 1.0, 257),

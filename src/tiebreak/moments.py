@@ -99,6 +99,13 @@ def _gaussian_upper(t: float) -> np.ndarray:
     return np.array(out)
 
 
+# Moments of the whole population on each scale, shared by every call.
+_UNIFORM_FULL = _uniform_region(-1.0, 1.0)
+_GAUSSIAN_FULL = _gaussian_upper(-math.inf)
+_UNIFORM_FULL.setflags(write=False)
+_GAUSSIAN_FULL.setflags(write=False)
+
+
 def _panel_terms(scale: SlidingScale, cuts: np.ndarray, panels: int):
     """Nodes x and weights times w(x), shaped (node, segment, panel)."""
     steps = np.linspace(0.0, 1.0, panels + 1)
@@ -124,17 +131,16 @@ def _scale_w_moments(scale: SlidingScale) -> np.ndarray:
     Tables, linear between their knots, are exact and skip the check.
     """
     cuts = np.union1d([-1.0, 1.0], [b for b in scale.breakpoints if -1.0 < b < 1.0])
-    x, weighted = _panel_terms(scale, cuts, _GL_PANELS)
+    sums = _segment_sums(*_panel_terms(scale, cuts, _GL_PANELS))
     if scale.table is None:
-        gap = np.abs(_segment_sums(x, weighted) - _segment_sums(
+        gap = np.abs(sums - _segment_sums(
             *_panel_terms(scale, cuts, _GL_PANELS // 2))).max(axis=1)
         if np.any(gap > _PANEL_TOL):
             j = int(np.argmax(gap > _PANEL_TOL))
             raise DomainError(f"scale moments on segment [{cuts[j]:g}, {cuts[j + 1]:g}] "
                               f"move by {gap[j]:.2g} when the panels are halved; "
                               "declare its jumps and kinks as breakpoints")
-    x, weighted = x.ravel(), weighted.ravel()
-    return np.array([0.5 * (weighted @ x ** k) for k in range(_KMAX + 1)])
+    return sums.sum(axis=0)
 
 
 def design_moments(rule, distribution: AssignmentDistribution | None = None
@@ -149,7 +155,7 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
         if dist.kind == STANDARD_GAUSSIAN:
             raise DomainError("a sliding scale is defined on the rank scale "
                               "[-1, 1] and has no moments on Gaussian scores")
-        return _uniform_region(-1.0, 1.0), _scale_w_moments(rule)
+        return _UNIFORM_FULL, _scale_w_moments(rule)
     if not isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
         raise DomainError(f"no moment formulas for {type(rule).__name__}")
     lo, hi, *levels = _step_levels(rule, dist)
@@ -159,11 +165,11 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
         # even moments E[w], E[w x^2], E[w x^4] cancel to exactly 0.
         arms[2] = -arms[0]
     if dist.kind == UNIFORM_RANK:
-        full = _uniform_region(-1.0, 1.0)
+        full = _UNIFORM_FULL
         regions = (_uniform_region(-1.0, lo), _uniform_region(lo, hi),
                    _uniform_region(hi, 1.0))
     else:
-        full = _gaussian_upper(-math.inf)
+        full = _GAUSSIAN_FULL
         bottom = (-1.0) ** np.arange(_KMAX + 1) * _gaussian_upper(-lo)
         top = _gaussian_upper(hi)
         regions = (bottom, full - bottom - top, top)

@@ -21,12 +21,13 @@ def covariance_quadratic(delta: float) -> CoefCovariance:
 
 
 def var_gain_quadratic(delta: float, x) -> np.ndarray | float:
-    """Scaled variance of the effect estimate 2(b2 + b3 x + b5 x^2)."""
+    """Scaled variance of the effect estimate 2(b2 + b3 x + b5 x^2),
+    c' Sigma c with c = (0, 0, 2, 2x, 0, 2x^2), for every x at once."""
     cov = covariance_quadratic(delta).matrix
     x = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x).astype(float)
-    out = np.empty(flat.shape)
-    for i, xi in enumerate(flat):
-        c = np.array([0.0, 0.0, 2.0, 2.0 * xi, 0.0, 2.0 * xi * xi])
-        out[i] = c @ cov @ c
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    c = np.zeros(x.shape + (6,))
+    c[..., 2] = 2.0
+    c[..., 3] = 2.0 * x
+    c[..., 5] = 2.0 * x * x
+    out = (c[..., None, :] @ cov @ c[..., :, None])[..., 0, 0]
+    return float(out) if x.ndim == 0 else out

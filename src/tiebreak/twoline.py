@@ -29,8 +29,9 @@ _GAUSSIAN = AssignmentDistribution.standard_gaussian()
 
 
 def _effects(cov: CoefCovariance, full: bool) -> CoefCovariance:
-    """The whole covariance, or its (b2, b3) block."""
-    return cov if full else CoefCovariance(EFFECT_LABELS, cov.matrix[2:, 2:])
+    """The whole covariance, or its (b2, b3) block, a principal block of
+    an engine-built matrix and so exactly symmetric in turn."""
+    return cov if full else CoefCovariance._trusted(EFFECT_LABELS, cov.matrix[2:, 2:].copy())
 
 
 def covariance_uniform(delta: float, full: bool = False) -> CoefCovariance:

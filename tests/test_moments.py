@@ -154,7 +154,7 @@ def test_sliding_moments_smooth_scale_against_scipy(slope, shift):
     mom = sliding_moments(scale)
     for k, got in ((0, mom.z_mean), (1, mom.zx_mean), (2, mom.zx2_mean)):
         ref, _ = quad(lambda x: 0.5 * x ** k * (2 * scale(x) - 1.0), -1, 1,
-                      epsabs=1e-15, epsrel=1e-15, limit=400)
+                      epsabs=1e-14, epsrel=1e-14, limit=400)
         assert abs(got - ref) <= 1e-13
 
 

@@ -225,6 +225,96 @@ def test_stacked_schur_inverse_matches_each_item():
                        "feature Gram matrix is ill-conditioned"]
 
 
+def _gram_pair(kind: str, d: int, seed: int, tilt: float):
+    """One (A, B) pair: a sample Gram and arm block of d features, or a
+    degenerate pair built from them."""
+    rng = np.random.default_rng(seed)
+    f = np.hstack([np.ones((40, 1)), rng.normal(size=(40, d - 1))])
+    a = f.T @ f
+    arms = rng.uniform(-1.0, 1.0, 40)
+    if kind == "near_singular":
+        # Nearly one arm for all, bar d - 1 subjects: the Schur complement
+        # has rank d - 1 plus a part of size tilt, so cond(S) is about
+        # 1/tilt, on either side of the limit.
+        arms = 1.0 - tilt * rng.uniform(0.0, 1.0, 40)
+        arms[:d - 1] = rng.uniform(-1.0, 1.0, d - 1)
+    b = np.einsum("i,ij,il->jl", arms, f, f)
+    if kind == "zero_a":
+        a = np.zeros((d, d))
+    elif kind == "nonfinite_a":
+        a[0, -1] = a[-1, 0] = rng.choice([np.inf, -np.inf, np.nan])
+    elif kind in ("plus_a", "minus_a"):
+        b = (1.0 - tilt) * a * (1.0 if kind == "plus_a" else -1.0)
+    elif kind == "nan_b":
+        b[0, 0] = np.nan
+    return a, b
+
+
+SCHUR_KINDS = ("random", "zero_a", "nonfinite_a", "plus_a", "minus_a",
+               "near_singular", "nan_b")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SCHUR_KINDS), st.sampled_from((2, 3, 4)),
+       st.integers(0, 2 ** 32 - 1), st.floats(-16.0, -1.0))
+@example("plus_a", 2, 0, -13.0)
+@example("minus_a", 3, 1, -11.0)
+@example("near_singular", 4, 2, -12.5)
+@example("near_singular", 2, 3, -3.0)
+def test_one_pair_schur_inverse_equals_its_stack_of_one(kind, d, seed, log_tilt):
+    a, b = _gram_pair(kind, d, seed, 10.0 ** log_tilt)
+    var, cross, reasons = schur_inverse(a[None], b[None])
+    try:
+        got = schur_inverse(a, b)
+    except DegenerateDesignError as exc:
+        assert str(exc) == reasons[0]
+        return
+    assert reasons[0] is None
+    assert got[0].tobytes() == var[0].tobytes()
+    assert got[1].tobytes() == cross[0].tobytes()
+
+
+def test_one_pair_schur_inverse_reasons():
+    # Each constructed degenerate kind raises the reason its stack of one
+    # reports, at the test that first refuses it.
+    gram = "feature Gram matrix is ill-conditioned"
+    arms = "design is ill-conditioned: expected arms nearly reproduce the features"
+    want = {"zero_a": (0.0, gram), "nonfinite_a": (0.0, gram),
+            "nan_b": (0.0, "singular normal equations"),
+            "plus_a": (0.0, arms), "minus_a": (1e-14, arms), "near_singular": (1e-15, arms)}
+    for kind, (tilt, reason) in want.items():
+        for d in (2, 3, 4):
+            a, b = _gram_pair(kind, d, d, tilt)
+            with pytest.raises(DegenerateDesignError, match=f"^{reason}$"):
+                schur_inverse(a, b)
+            assert schur_inverse(a[None], b[None])[2] == [reason]
+
+
+def test_engine_covariance_matches_public_constructor():
+    # The engine's trusted constructor skips steps that are identities on
+    # its exactly symmetric matrices; the public one must agree field for
+    # field, on full matrices and on the (b2, b3) blocks sliced from them.
+    built = [design_covariance(IntervalRule(-0.4, 0.7, 0.3)),
+             design_covariance(IntervalRule(-0.2, 0.5, 0.6), GAUSSIAN, "quadratic"),
+             covariance_uniform(0.3), covariance_gaussian(0.8),
+             noncentral_covariance(0.1, 0.9, 0.5)]
+    for cov in built:
+        public = CoefCovariance(cov.labels, cov.matrix)
+        assert np.array_equal(cov.matrix, cov.matrix.T)
+        assert public.labels == cov.labels and public.n_scaled == cov.n_scaled
+        assert public.matrix.tobytes() == cov.matrix.tobytes()
+        assert public.matrix.shape == cov.matrix.shape
+        assert public.matrix.flags.c_contiguous and cov.matrix.flags.c_contiguous
+        assert not (public.matrix.flags.writeable or cov.matrix.flags.writeable)
+    # The checks it keeps raise as the public constructor does.
+    for m, reason in ((np.array([[1.0, 2.0], [2.0, 1.0]]), "not positive definite"),
+                      (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite")):
+        with pytest.raises(DegenerateDesignError, match=reason):
+            CoefCovariance(("a", "b"), m)
+        with pytest.raises(DegenerateDesignError, match=reason):
+            CoefCovariance._trusted(("a", "b"), m.copy())
+
+
 def test_noncentral_table_frozen():
     cases = {(-1.0, 1.0): 3.00, (0.0, 0.0): 12.00, (-1.0, 0.0): 13.090909,
              (0.7, 0.7): 223.443472, (0.6, 0.8): 137.560089}
