@@ -69,7 +69,7 @@ def _check_definite(m: np.ndarray):
             "covariance is not positive definite (degenerate design)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefCovariance:
     """Symmetric positive-definite N * Var matrix with coefficient labels."""
 
@@ -160,6 +160,9 @@ def schur_inverse(a: np.ndarray, b: np.ndarray):
     coefficients and C = -A^-1 B V their covariance with the baseline
     ones. Raises DegenerateDesignError, with the reason, when A or the
     Schur complement is ill-conditioned, singular or negligible next to A.
+    The condition number of A comes from its singular values; that of
+    the complement, which is symmetrized first, from the magnitudes of
+    its eigenvalues, which are its singular values.
     A stack b (k, d, d), with a shared or stacked A, gives (V, C, reasons),
     each item as its own 2-D call: reasons[i] is None or why V[i] is NaN.
     """
@@ -170,7 +173,9 @@ def schur_inverse(a: np.ndarray, b: np.ndarray):
     a = np.asarray(a, dtype=float).reshape(-1, d, d)
     b = b.reshape(-1, d, d)
     # Degenerate items become the identity before each LAPACK call, which
-    # would otherwise fail the whole stack; cond is s_max / s_min.
+    # would otherwise fail the whole stack. cond is s_max / s_min: singular
+    # values of A (the caller's, so maybe not symmetric), and of the
+    # symmetrized Schur complement its eigenvalue magnitudes.
     a_max = np.abs(a).max(axis=(1, 2))
     gram_bad = ~((a_max > 0.0) & (a_max < np.inf))
     if np.count_nonzero(gram_bad):
@@ -186,9 +191,9 @@ def schur_inverse(a: np.ndarray, b: np.ndarray):
     singular = ~np.isfinite(schur_max)
     if np.count_nonzero(singular):
         schur = np.where(singular[:, None, None], np.eye(d), schur)
-    sv = np.linalg.svd(schur, compute_uv=False)
+    mags = np.abs(np.linalg.eigvalsh(schur))
     # cond is blind to scale: B = +-A (one arm for all) leaves a noise complement.
-    bad = (gram_bad | singular | (sv[:, -1] * CONDITION_LIMIT < sv[:, 0])
+    bad = (gram_bad | singular | (mags.min(axis=1) * CONDITION_LIMIT < mags.max(axis=1))
            | (schur_max * CONDITION_LIMIT <= a_max))
     degenerate = np.count_nonzero(bad) > 0
     if degenerate:
@@ -220,8 +225,8 @@ def _schur_pair(a: np.ndarray, b: np.ndarray):
     schur_max = float(np.abs(schur).max())
     if not math.isfinite(schur_max):
         raise DegenerateDesignError(_SCHUR_REASONS[1])
-    sv = np.linalg.svd(schur, compute_uv=False)
-    if sv[-1] * CONDITION_LIMIT < sv[0] or schur_max * CONDITION_LIMIT <= a_max:
+    mags = [abs(v) for v in np.linalg.eigvalsh(schur).tolist()]
+    if min(mags) * CONDITION_LIMIT < max(mags) or schur_max * CONDITION_LIMIT <= a_max:
         raise DegenerateDesignError(_SCHUR_REASONS[2])
     var = np.linalg.inv(schur)
     var = 0.5 * (var + var.T)

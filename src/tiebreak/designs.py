@@ -171,20 +171,68 @@ class ScoreThresholdRule:
     p: float = 0.5
 
     def __post_init__(self):
-        theta = tuple(np.asarray(self.theta, dtype=float).ravel().tolist())
-        if not theta or not all(map(math.isfinite, theta)):
-            raise DomainError("theta must be a non-empty finite vector")
-        if not any(v != 0.0 for v in theta):
-            raise DomainError("theta must not be the zero vector")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise DomainError("delta must be a finite non-negative real")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError("p must lie strictly inside (0, 1)")
+        theta = _score_theta(self.theta)
+        _score_delta(self.delta)
+        _score_p(self.p)
         object.__setattr__(self, "theta", theta)
+
+    @classmethod
+    def _trusted(cls, theta: tuple[float, ...], delta: float, p: float) -> "ScoreThresholdRule":
+        """A rule from parts that have passed the public constructor's
+        checks: theta as _score_theta returns it, delta and p floats."""
+        rule = object.__new__(cls)
+        object.__setattr__(rule, "theta", theta)
+        object.__setattr__(rule, "delta", delta)
+        object.__setattr__(rule, "p", p)
+        return rule
 
     @property
     def theta_array(self) -> np.ndarray:
         return np.asarray(self.theta, dtype=float)
+
+
+def _score_theta(theta) -> tuple[float, ...]:
+    theta = tuple(np.asarray(theta, dtype=float).ravel().tolist())
+    if not theta or not all(map(math.isfinite, theta)):
+        raise DomainError("theta must be a non-empty finite vector")
+    if not any(v != 0.0 for v in theta):
+        raise DomainError("theta must not be the zero vector")
+    return theta
+
+
+def _score_delta(delta):
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise DomainError("delta must be a finite non-negative real")
+    return delta
+
+
+def _score_p(p):
+    if not 0.0 < p < 1.0:
+        raise DomainError("p must lie strictly inside (0, 1)")
+    return p
+
+
+def _score_rule_axes(thetas, deltas, ps):
+    """The checked axes (thetas, deltas, ps) of a grid of ScoreThresholdRule
+    candidates, each value checked once: thetas as tuples of floats, the
+    rest as floats.
+
+    Candidates run theta-major with p fastest, so a bad value raises what
+    the first candidate holding it raises when built by the public
+    constructor: the first candidate in full, then each further p, delta
+    and theta in turn. Any empty axis makes an empty grid, with nothing
+    checked.
+    """
+    thetas = list(thetas)
+    deltas = list(deltas) if thetas else []
+    ps = list(ps) if deltas else []
+    if not ps:
+        return [], [], []
+    first = ScoreThresholdRule(tuple(thetas[0]), float(deltas[0]), float(ps[0]))
+    ps = [first.p] + [_score_p(float(p)) for p in ps[1:]]
+    deltas = [first.delta] + [_score_delta(float(d)) for d in deltas[1:]]
+    thetas = [first.theta] + [_score_theta(tuple(t)) for t in thetas[1:]]
+    return thetas, deltas, ps
 
 
 class SlidingScale:

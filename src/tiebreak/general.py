@@ -14,6 +14,7 @@ for targeting with variance, and the search quantifies how much.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,13 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import schur_inverse
-from .designs import ScoreThresholdRule, _read_table, _step
+from .designs import ScoreThresholdRule, _read_table, _score_rule_axes, _step
 from .errors import DomainError, NoFeasibleDesignError
 
 CRITERIA = ("trace", "log-det", "contrast")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """A named n x d feature array whose first column is the intercept."""
 
@@ -86,82 +87,121 @@ def _feature_values(features) -> np.ndarray:
     return vals
 
 
-def _scores(vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    if theta.size != vals.shape[1]:
-        raise DomainError(f"theta has {theta.size} entries for "
-                          f"{vals.shape[1]} feature columns")
-    return vals @ theta
+def _scores(vals: np.ndarray, thetas) -> np.ndarray:
+    """Scores F theta of a block of directions, (T, n). Each row is its
+    own vals @ theta, which one product over the block might round
+    otherwise; a block of one direction is a view of its row, not a copy."""
+    for theta in thetas:
+        if len(theta) != vals.shape[1]:
+            raise DomainError(f"theta has {len(theta)} entries for "
+                              f"{vals.shape[1]} feature columns")
+    rows = [vals @ np.asarray(theta, dtype=float) for theta in thetas]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 def expected_weights(features, rule: ScoreThresholdRule) -> np.ndarray:
     """Expected arm E[z_i] for each subject under the threshold rule:
     +1 / -1 outside the window, 2p - 1 inside."""
-    vals = _feature_values(features)
-    scores = _scores(vals, rule.theta_array)
+    scores = _scores(_feature_values(features), [rule.theta])[0]
     return _step(scores, -rule.delta, rule.delta, -1.0, 2.0 * rule.p - 1.0, 1.0)
+
+
+# Subject-directions binned per _window_blocks call: a 500-row table bins
+# all of a search's directions at once, a 200 000-row one one at a time.
+_BIN_CELLS = 1 << 18
 
 
 def _window_blocks(vals: np.ndarray, scores: np.ndarray, grid: np.ndarray,
                    coins: np.ndarray, gram: np.ndarray):
     """B = sum_i w_i F_i F_i' as (len(grid), len(coins), d, d), for each
     half-width in grid (sorted, distinct) and inside arm 2p - 1 in coins,
-    and whether no subject is treated (row 0) or a control (row 1).
+    and whether no subject is treated (row 0) or a control (row 1). Scores
+    of shape (T, n), one row per direction, put a leading T axis on both.
 
     As in _step, a subject is outside at delta iff |score| >= delta, on
     arm +1 iff score >= 0. Binned by how many grid values are at or below
     |score|, the subjects in bins above t are outside at grid[t]: B sums
     the arm-signed bins above t and 2p - 1 times the plain bins up to t,
-    or is exactly (2p - 1) gram when everyone is inside.
+    or is exactly (2p - 1) gram when everyone is inside. Each direction's
+    bins are offset by its row, so one bincount per column pair bins the
+    whole block, and every (direction, bin) cell sums its subjects in row
+    order, as a call per direction would.
     """
     n, d = vals.shape
     m = grid.size
+    lead = scores.shape[:-1]
     rows, cols = np.triu_indices(d)
     # Bins 0..m hold the control arm, bins m+1..2m+1 the treated one.
     bins = np.searchsorted(grid, np.abs(scores), side="right")
     np.add(bins, m + 1, out=bins, where=scores >= 0.0)
-    counts = np.bincount(bins, minlength=2 * (m + 1)).reshape(2, m + 1)
-    sums = np.stack([np.bincount(bins, vals[:, r] * vals[:, c], 2 * (m + 1))
-                     for r, c in zip(rows, cols)], axis=-1).reshape(2, m + 1, -1)
-    outside = np.cumsum((sums[1] - sums[0])[::-1], axis=0)[-2::-1]
-    packed = outside[:, None] + coins[:, None] * np.cumsum(sums.sum(axis=0), axis=0)[:m, None]
-    n_inside = np.cumsum(counts.sum(axis=0))[:m]
+    directions = math.prod(lead)
+    cells = 2 * (m + 1) * directions
+    if directions > 1:
+        bins += np.arange(0, cells, 2 * (m + 1))[:, None]
+    bins = bins.ravel()
+    counts = np.bincount(bins, minlength=cells).reshape(lead + (2, m + 1))
+
+    def column(r, c):
+        """F_r F_c, repeated for each direction of the block."""
+        product = vals[:, r] * vals[:, c]
+        return np.tile(product, directions) if directions > 1 else product
+
+    sums = np.stack([np.bincount(bins, column(r, c), cells) for r, c in zip(rows, cols)],
+                    axis=-1).reshape(lead + (2, m + 1, -1))
+    outside = np.cumsum((sums[..., 1, :, :] - sums[..., 0, :, :])[..., ::-1, :],
+                        axis=-2)[..., -2::-1, :]
+    packed = (outside[..., None, :] + coins[:, None]
+              * np.cumsum(sums.sum(axis=-3), axis=-2)[..., :m, None, :])
+    n_inside = np.cumsum(counts.sum(axis=-2), axis=-1)[..., :m]
     packed[n_inside == n] = coins[:, None] * gram[rows, cols]
-    blocks = np.empty((m, coins.size, d, d))
+    blocks = np.empty(lead + (m, coins.size, d, d))
     blocks[..., rows, cols] = blocks[..., cols, rows] = packed
-    n_outside = np.cumsum(counts[:, ::-1], axis=1)[:, -2::-1]
+    n_outside = np.cumsum(counts[..., ::-1], axis=-1)[..., -2::-1]
     # Nobody inside and nobody outside on the treated (control) arm.
-    return blocks, n_inside + n_outside[::-1] == 0
+    return blocks, n_inside[..., None, :] + n_outside[..., ::-1, :] == 0
+
+
+def _candidates(vals: np.ndarray, thetas, deltas, ps):
+    """Every (theta, delta, p) candidate, p varying fastest: the checked
+    axes, then Var(g-hat), Cov(b-hat, g-hat) and why each is infeasible
+    (None where it is feasible). A = F'F once, blocks of directions binned
+    per pass over the subjects, one stacked Schur inverse."""
+    axes = thetas, deltas, ps = _score_rule_axes(thetas, deltas, ps)
+    if not thetas:
+        return axes, None, None, []
+    n, d = vals.shape
+    grid, pick = np.unique(np.asarray(deltas), return_inverse=True)
+    coins = 2.0 * np.asarray(ps) - 1.0
+    gram = vals.T @ vals
+    step = max(1, _BIN_CELLS // max(n, 1))
+    blocks, empty = zip(*(_window_blocks(vals, _scores(vals, thetas[t:t + step]),
+                                         grid, coins, gram)
+                          for t in range(0, len(thetas), step)))
+    var, cross, reasons = schur_inverse(
+        gram, np.concatenate(blocks)[:, pick].reshape(-1, d, d))
+    empty = np.concatenate(empty)[:, :, pick].swapaxes(1, 2).reshape(-1, 2)
+    no_treated, no_control = np.repeat(empty, len(ps), axis=0).T.tolist()
+    reasons = ["no treated subjects" if none_treated else
+               "no control subjects" if none_control else reason
+               for none_treated, none_control, reason in zip(no_treated, no_control,
+                                                             reasons)]
+    return axes, var, cross, reasons
 
 
 def _evaluations(vals: np.ndarray, thetas, deltas, ps) -> list["DesignEvaluation"]:
-    """Every (theta, delta, p) candidate, p varying fastest: A = F'F once,
-    one pass over the subjects per theta, one stacked Schur inverse."""
-    rules = [ScoreThresholdRule(tuple(theta), float(delta), float(p))
-             for theta in thetas for delta in deltas for p in ps]
-    if not rules:
-        return []
-    n, d = vals.shape
-    grid, pick = np.unique(np.asarray(deltas, dtype=float), return_inverse=True)
-    coins = 2.0 * np.asarray(ps, dtype=float) - 1.0
-    gram = vals.T @ vals
-    blocks, empty = zip(*(_window_blocks(vals, _scores(vals, rules[t].theta_array),
-                                         grid, coins, gram)
-                          for t in range(0, len(rules), len(deltas) * len(ps))))
-    var, cross, reasons = schur_inverse(gram, np.stack(blocks)[:, pick].reshape(-1, d, d))
-    empty = np.stack(empty)[:, :, pick].swapaxes(1, 2).reshape(-1, 2)
-    out = []
-    for i, rule in enumerate(rules):
-        no_treated, no_control = empty[i // len(ps)]
-        reason = ("no treated subjects" if no_treated else
-                  "no control subjects" if no_control else reasons[i])
-        out.append(DesignEvaluation(rule=rule, n=n, feasible=False, reason=reason)
-                   if reason else
-                   DesignEvaluation(rule=rule, n=n, feasible=True,
-                                    var_interaction=var[i], cov_cross=cross[i]))
-    return out
+    """The evaluation of every (theta, delta, p) candidate, p varying fastest."""
+    (thetas, deltas, ps), var, cross, reasons = _candidates(vals, thetas, deltas, ps)
+    n = vals.shape[0]
+    rules = (ScoreThresholdRule._trusted(theta, delta, p)
+             for theta in thetas for delta in deltas for p in ps)
+    return [DesignEvaluation(rule=rule, n=n, feasible=False, reason=reason)
+            if reason else
+            DesignEvaluation(rule=rule, n=n, feasible=True,
+                             var_interaction=var[i], cov_cross=cross[i])
+            for i, (rule, reason) in enumerate(zip(rules, reasons))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignEvaluation:
     """Outcome of evaluating one threshold rule on a feature matrix.
 
@@ -262,18 +302,26 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}; "
                           f"choose from {', '.join(CRITERIA)}")
-    evaluations = _evaluations(_feature_values(features), thetas, deltas, ps)
-    feasible = [i for i, ev in enumerate(evaluations) if ev.feasible]
-    if not feasible:
-        failed = Counter(ev.reason.split(":")[0] for ev in evaluations)
+    vals = _feature_values(features)
+    (thetas, deltas, ps), var, cross, reasons = _candidates(vals, thetas, deltas, ps)
+    feasible = np.array([i for i, reason in enumerate(reasons) if reason is None],
+                        dtype=np.intp)
+    if not feasible.size:
+        failed = Counter(reason.split(":")[0] for reason in reasons)
         detail = ", ".join(f"{k} {reason}" for reason, k in failed.items())
-        raise NoFeasibleDesignError(f"no feasible design among {len(evaluations)} "
+        raise NoFeasibleDesignError(f"no feasible design among {len(reasons)} "
                                     "candidates" + (f": {detail}" if detail else ""))
-    values = _criterion(np.array([evaluations[i].var_interaction for i in feasible]),
-                        criterion, contrast)
-    per_theta = len(deltas) * len(ps)
-    results = [SearchResult(float(value), i // per_theta, i % per_theta // len(ps),
-                            i % len(ps), evaluations[i])
-               for i, value in zip(feasible, values)]
-    results.sort(key=lambda r: (r.value, r.theta_index, r.delta_index, r.p_index))
+    values = _criterion(var[feasible], criterion, contrast)
+    theta_index, rest = np.divmod(feasible, len(deltas) * len(ps))
+    delta_index, p_index = np.divmod(rest, len(ps))
+    # Ascending by the key (value, theta, delta, p), which is total.
+    order = np.lexsort((p_index, delta_index, theta_index, values))
+    n = vals.shape[0]
+    results = []
+    for value, i, t, j, k in zip(*(column[order].tolist() for column in (
+            values, feasible, theta_index, delta_index, p_index))):
+        rule = ScoreThresholdRule._trusted(thetas[t], deltas[j], ps[k])
+        evaluation = DesignEvaluation(rule=rule, n=n, feasible=True,
+                                      var_interaction=var[i], cov_cross=cross[i])
+        results.append(SearchResult(value, t, j, k, evaluation))
     return results

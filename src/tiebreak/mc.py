@@ -238,7 +238,7 @@ class SimConfig:
         return model_labels(self.model)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimReport:
     """Empirical covariance of a run, against its closed form.
 

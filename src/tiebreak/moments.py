@@ -61,6 +61,14 @@ def _check_delta(delta) -> np.ndarray:
     return arr
 
 
+def _check_finite(value, name: str) -> np.ndarray:
+    """value as an array, refused unless every entry is finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
 def central_zx_mean(delta):
     """E[zx] for a symmetric central window of width delta: (1 - delta^2)/2."""
     delta = _check_delta(delta)

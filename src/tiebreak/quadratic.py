@@ -13,6 +13,7 @@ import numpy as np
 
 from .covariance import QUADRATIC, CoefCovariance, design_covariance
 from .designs import TieBreaker
+from .moments import _check_finite
 
 
 def covariance_quadratic(delta: float) -> CoefCovariance:
@@ -22,9 +23,10 @@ def covariance_quadratic(delta: float) -> CoefCovariance:
 
 def var_gain_quadratic(delta: float, x) -> np.ndarray | float:
     """Scaled variance of the effect estimate 2(b2 + b3 x + b5 x^2),
-    c' Sigma c with c = (0, 0, 2, 2x, 0, 2x^2), for every x at once."""
+    c' Sigma c with c = (0, 0, 2, 2x, 0, 2x^2), for every x at once; a
+    non-finite x raises DomainError."""
     cov = covariance_quadratic(delta).matrix
-    x = np.asarray(x, dtype=float)
+    x = _check_finite(x, "x")
     c = np.zeros(x.shape + (6,))
     c[..., 2] = 2.0
     c[..., 3] = 2.0 * x

@@ -21,7 +21,8 @@ from .covariance import CoefCovariance, design_covariance
 from .designs import (UNIFORM_RANK, AssignmentDistribution, IntervalRule,
                       TieBreaker)
 from .errors import DomainError
-from .moments import _check_delta, central_zx_mean, gaussian_zx_mean
+from .moments import (_check_delta, _check_finite, central_zx_mean,
+                      gaussian_zx_mean)
 
 EFFECT_LABELS = ("beta2", "beta3")
 
@@ -62,10 +63,10 @@ def var_gain_at_x(delta, x, distribution: AssignmentDistribution | None = None):
 
     On the rank scale this is 16 (1 + 3 x^2) / (1 + 3 delta^2 (2 - delta^2));
     on the Gaussian scale 4 (1 + x^2) / (1 - f^2). Broadcasts over delta
-    and x.
+    and x; a non-finite x raises DomainError.
     """
     delta = _check_delta(delta)
-    x = np.asarray(x, dtype=float)
+    x = _check_finite(x, "x")
     kind = (distribution or AssignmentDistribution.uniform_rank()).kind
     if kind == UNIFORM_RANK:
         out = 16.0 * (1.0 + 3.0 * x * x) / (1.0 + 3.0 * delta * delta * (2.0 - delta * delta))
@@ -91,9 +92,12 @@ def gain(delta, beta3, beta0: float = 0.0):
     """Expected per-subject benefit of assignment, b0 + b3 (1 - delta^2)/2.
 
     The b3 term is the payoff from giving treatment preferentially to
-    high scorers; widening the window erodes it.
+    high scorers; widening the window erodes it. A non-finite b3 or b0
+    raises DomainError.
     """
     delta = _check_delta(delta)
+    _check_finite(beta3, "beta3")
+    _check_finite(beta0, "beta0")
     out = beta0 + beta3 * central_zx_mean(delta)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -102,6 +106,7 @@ def experimentation_cost(delta, beta3, n: float = 1.0):
     """Shortfall of a width-delta window against the sharp cut-off, summed
     over n subjects: n b3 delta^2 / 2."""
     delta = _check_delta(delta)
+    _check_finite(beta3, "beta3")
     out = n * beta3 * delta * delta / 2.0
     return float(out) if np.ndim(out) == 0 else out
 

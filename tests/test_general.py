@@ -2,17 +2,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from tiebreak import general
 from tiebreak.covariance import QUADRATIC, TWOLINE, design_covariance
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
-                              ScoreThresholdRule)
+                              ScoreThresholdRule, TieBreaker)
 from tiebreak.errors import (DegenerateDesignError, DomainError,
                              NoFeasibleDesignError)
-from tiebreak.general import (FeatureMatrix, _evaluations, _window_blocks,
-                              design_search, evaluate_design, expected_weights,
-                              fully_randomized_covariance)
-from tiebreak.mc import design_matrix
+from tiebreak.general import (CRITERIA, FeatureMatrix, _criterion, _evaluations,
+                              _window_blocks, design_search, evaluate_design,
+                              expected_weights, fully_randomized_covariance)
+from tiebreak.mc import SimConfig, design_matrix, run_simulation
 from tiebreak.twoline import covariance_uniform
 
 from helpers import brute_design, brute_weighted_gram
@@ -336,31 +337,39 @@ def _brute_reason(vals, theta, delta, p):
     return None, joint[d:, d:], joint[:d, d:], np.linalg.cond(np.block([[a, b], [b, a]]))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_design_search_matches_brute_force(data):
-    d = data.draw(st.sampled_from([2, 3, 4]), label="d")
-    n = data.draw(st.integers(1, 60), label="n")
+@st.composite
+def search_grids(draw):
+    """(features, thetas, deltas, ps) of a small search with exact ties:
+    a repeated theta, repeated and unsorted deltas, and deltas that hit
+    scores exactly."""
+    d = draw(st.sampled_from([2, 3, 4]), label="d")
+    n = draw(st.integers(1, 60), label="n")
     # Quarter-integer features make exact score ties; a seeded jitter
     # makes generic ones.
-    cells = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=n * (d - 1),
-                                        max_size=n * (d - 1))), dtype=float) / 4.0
-    if data.draw(st.booleans(), label="jitter"):
-        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    cells = np.array(draw(st.lists(st.integers(-8, 8), min_size=n * (d - 1),
+                                   max_size=n * (d - 1))), dtype=float) / 4.0
+    if draw(st.booleans(), label="jitter"):
+        seed = draw(st.integers(0, 2 ** 32 - 1), label="seed")
         cells = cells + np.random.default_rng(seed).normal(size=cells.size)
     vals = np.column_stack([np.ones(n), cells.reshape(n, d - 1)])
     vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
-    thetas = data.draw(st.lists(vector, min_size=1, max_size=3), label="thetas")
+    thetas = draw(st.lists(vector, min_size=1, max_size=3), label="thetas")
     thetas = [tuple(float(v) for v in t) for t in thetas + thetas[:1]]
     scores = np.abs(vals @ np.array(thetas).T).ravel()
-    hits = data.draw(st.lists(st.sampled_from(sorted(set(scores.tolist()))),
-                              max_size=4), label="hits")
-    free = data.draw(st.lists(st.floats(0.0, 6.0), max_size=4), label="free")
+    hits = draw(st.lists(st.sampled_from(sorted(set(scores.tolist()))),
+                         max_size=4), label="hits")
+    free = draw(st.lists(st.floats(0.0, 6.0), max_size=4), label="free")
     grid = [0.0] + hits + free
-    grid = data.draw(st.permutations(grid + grid[-2:]), label="deltas")
-    ps = data.draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.8]), min_size=1,
-                            max_size=3), label="ps")
+    grid = draw(st.permutations(grid + grid[-2:]), label="deltas")
+    ps = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.8]), min_size=1,
+                       max_size=3), label="ps")
+    return vals, thetas, grid, ps
 
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(search_grids())
+def test_design_search_matches_brute_force(search):
+    vals, thetas, grid, ps = search
     evaluations = _evaluations(vals, thetas, grid, ps)
     keys = [(ti, di, pi) for ti in range(len(thetas)) for di in range(len(grid))
             for pi in range(len(ps))]
@@ -404,3 +413,115 @@ def test_design_search_matches_brute_force(data):
         assert r.value == r.evaluation.trace()
     assert [(r.value, r.theta_index, r.delta_index, r.p_index) for r in results] == \
         sorted((r.value, r.theta_index, r.delta_index, r.p_index) for r in results)
+
+
+def _evaluation_bytes(evaluations):
+    return [(ev.rule, ev.feasible, ev.reason,
+             None if ev.var_interaction is None else ev.var_interaction.tobytes(),
+             None if ev.cov_cross is None else ev.cov_cross.tobytes())
+            for ev in evaluations]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(search_grids(), st.integers(1, 4))
+def test_blocked_window_blocks_equal_per_direction_calls(search, block):
+    vals, thetas, grid, ps = search
+    deltas = np.unique(grid)
+    coins = 2.0 * np.array(ps) - 1.0
+    gram = vals.T @ vals
+    single = [_window_blocks(vals, vals @ np.array(theta), deltas, coins, gram)
+              for theta in thetas]
+    blocks, empty = _window_blocks(vals, np.stack([vals @ np.array(t) for t in thetas]),
+                                   deltas, coins, gram)
+    assert blocks.tobytes() == np.stack([b for b, _ in single]).tobytes()
+    assert empty.tobytes() == np.stack([e for _, e in single]).tobytes()
+    # The search bins as many directions per pass as its cell budget
+    # allows: one, `block`, or (by default, on these small tables) all.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(general, "_BIN_CELLS", 1)
+        want = _evaluation_bytes(_evaluations(vals, thetas, grid, ps))
+        mp.setattr(general, "_BIN_CELLS", block * vals.shape[0])
+        assert _evaluation_bytes(_evaluations(vals, thetas, grid, ps)) == want
+    assert _evaluation_bytes(_evaluations(vals, thetas, grid, ps)) == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(search_grids(), st.sampled_from(CRITERIA))
+def test_design_search_ranks_as_sorting_by_key(search, criterion):
+    # Every grid repeats a theta, so candidates tie exactly on value and
+    # the candidate indices decide.
+    vals, thetas, grid, ps = search
+    contrast = np.arange(1.0, vals.shape[1] + 1.0) if criterion == "contrast" else None
+    evaluations = _evaluations(vals, thetas, grid, ps)
+    feasible = [i for i, ev in enumerate(evaluations) if ev.feasible]
+    assume(feasible)
+    values = _criterion(np.array([evaluations[i].var_interaction for i in feasible]),
+                        criterion, contrast)
+    per_theta = len(grid) * len(ps)
+    want = sorted((float(v), i // per_theta, i % per_theta // len(ps), i % len(ps))
+                  for i, v in zip(feasible, values))
+    results = design_search(vals, thetas, grid, ps, criterion, contrast)
+    assert [(r.value, r.theta_index, r.delta_index, r.p_index) for r in results] == want
+    for r in results:
+        i = (r.theta_index * len(grid) + r.delta_index) * len(ps) + r.p_index
+        assert _evaluation_bytes([r.evaluation]) == _evaluation_bytes([evaluations[i]])
+
+
+def _first_bad_candidate(features, thetas, deltas, ps):
+    """(type, message) of what building a search's candidates one at a time
+    raises, or None: each rule by the public constructor, theta-major with
+    p fastest, then each theta's length against the feature columns."""
+    try:
+        rules = [ScoreThresholdRule(tuple(theta), float(delta), float(p))
+                 for theta in thetas for delta in deltas for p in ps]
+        for rule in rules:
+            if len(rule.theta) != features.shape[1]:
+                raise DomainError(f"theta has {len(rule.theta)} entries for "
+                                  f"{features.shape[1]} feature columns")
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([(0.0, 1.0), (1.0, -0.5), (0.0, 0.0), (np.nan, 1.0), (),
+                                 (1.0, 0.0, 0.0), 3, "ab"]), max_size=3),
+       st.lists(st.sampled_from([0.5, 0.0, 2.0, -1.0, np.inf, np.nan, "x", None]),
+                max_size=3),
+       st.lists(st.sampled_from([0.5, 0.3, 0.0, 1.0, np.nan, "y"]), max_size=3))
+@example([(0.0, 1.0), (0.0, 0.0)], [0.5, -1.0], [0.5, 2.0])
+@example([(np.nan, 1.0), 3], [], ["y"])
+@example([], [None], [0.0])
+@example([(0.0, 0.0)], [np.nan], [])
+def test_design_search_raises_for_its_first_bad_candidate(thetas, deltas, ps):
+    # Each axis is checked once, yet a mixture of bad values raises what the
+    # first candidate holding one raised when every candidate was built in
+    # turn; an empty axis makes an empty grid and checks nothing.
+    features = np.column_stack([np.ones(6), np.linspace(-1.0, 1.0, 6)])
+    want = _first_bad_candidate(features, thetas, deltas, ps)
+    try:
+        design_search(features, thetas, deltas, ps)
+        got = None
+    except NoFeasibleDesignError:
+        got = None
+    except (TypeError, ValueError) as exc:
+        got = type(exc), str(exc)
+    assert got == want
+    if not (thetas and deltas and ps):
+        with pytest.raises(NoFeasibleDesignError, match="among 0 candidates$"):
+            design_search(features, thetas, deltas, ps)
+
+
+def test_array_holding_results_compare_by_identity():
+    # Frozen results that hold arrays compare and hash by identity, so
+    # neither == nor hash raises on them.
+    features = np.column_stack([np.ones(16), np.linspace(-1.0, 1.0, 16)])
+    config = SimConfig(rule=TieBreaker(0.5), n=16, reps=4, seed=1)
+    for make in (lambda: covariance_uniform(0.3),
+                 lambda: FeatureMatrix.from_array(features),
+                 lambda: evaluate_design(features, ScoreThresholdRule((0.0, 1.0), 0.5)),
+                 lambda: run_simulation(config)):
+        one, twin = make(), make()
+        assert one == one and one != twin
+        assert hash(one) == hash(one)
+        assert len({one, twin, one}) == 2

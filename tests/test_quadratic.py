@@ -118,6 +118,9 @@ def test_var_gain_quadratic():
             cov.quadratic_form(w), rel=1e-12)
     out = var_gain_quadratic(0.5, np.array([0.0, 0.5]))
     assert out.shape == (2,)
+    for bad in (np.nan, np.inf, [0.0, -np.inf]):
+        with pytest.raises(DomainError, match="^x must be finite$"):
+            var_gain_quadratic(0.5, bad)
 
 
 def test_quadratic_variances_dominate_twoline():

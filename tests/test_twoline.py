@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from tiebreak.covariance import CoefCovariance, design_covariance, schur_inverse
+from tiebreak.covariance import (_SCHUR_REASONS, CONDITION_LIMIT, CoefCovariance,
+                                 design_covariance, schur_inverse)
 from tiebreak.designs import AssignmentDistribution, IntervalRule
 from tiebreak.errors import DegenerateDesignError, DomainError
 from tiebreak.twoline import (covariance_gaussian, covariance_uniform,
@@ -114,6 +115,22 @@ def test_gain_and_cost():
         lost = gain(0.0, 1.7, beta0=0.5) - gain(d, 1.7, beta0=0.5)
         assert experimentation_cost(d, 1.7) == pytest.approx(lost, abs=1e-14)
     assert experimentation_cost(0.5, 1.0, n=1000) == pytest.approx(125.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: var_gain_at_x(0.5, v), "x"),
+    (lambda v: var_gain_at_x(0.5, [0.0, v, 0.5]), "x"),
+    (lambda v: var_gain_at_x(0.5, v, GAUSSIAN), "x"),
+    (lambda v: gain(0.5, v), "beta3"),
+    (lambda v: gain(0.5, 1.0, v), "beta0"),
+    (lambda v: value(0.5, v, 1.0), "beta3"),
+    (lambda v: value(0.5, 1.0, 1.0, beta0=v), "beta0"),
+    (lambda v: experimentation_cost(0.5, v), "beta3"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise(call, name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+        call(bad)
 
 
 def test_value_decomposition():
@@ -288,6 +305,44 @@ def test_one_pair_schur_inverse_reasons():
             with pytest.raises(DegenerateDesignError, match=f"^{reason}$"):
                 schur_inverse(a, b)
             assert schur_inverse(a[None], b[None])[2] == [reason]
+
+
+def _pair_with_complement(d: int, seed: int, log_cond: float, negative: bool):
+    """(A, B) whose Schur complement A - B A^-1 B is L (I - C^2) L', with A
+    = L L' near the identity and B = L C L': the eigenvalues of I - C^2
+    run from 1 down to 10^-log_cond, the smallest negated if asked."""
+    rng = np.random.default_rng(seed)
+    low = np.eye(d) + 0.1 * np.tril(rng.uniform(-1.0, 1.0, (d, d)))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    spectrum = np.geomspace(1.0, 10.0 ** -log_cond, d)
+    if negative:
+        spectrum[-1] = -spectrum[-1]
+    c = q @ np.diag(np.sqrt(1.0 - spectrum)) @ q.T
+    return low @ low.T, low @ c @ low.T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3, 4)), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.floats(0.0, 11.0), st.floats(13.0, 17.0)), st.booleans())
+def test_schur_condition_by_eigenvalues_agrees_with_svd(d, seed, log_cond, negative):
+    # The symmetrized complement's singular values are its eigenvalue
+    # magnitudes, so away from the limit (the computed condition lies
+    # outside [1e11, 1e13]) both tests give one verdict, in both bodies.
+    a, b = _pair_with_complement(d, seed, log_cond, negative)
+    schur = a - b @ np.linalg.solve(a, b)
+    schur = 0.5 * (schur + schur.T)
+    sv = np.linalg.svd(schur, compute_uv=False)
+    assume(not 1e11 <= sv[0] / sv[-1] <= 1e13)
+    refused = (sv[-1] * CONDITION_LIMIT < sv[0]
+               or np.abs(schur).max() * CONDITION_LIMIT <= np.abs(a).max())
+    reason = _SCHUR_REASONS[2] if refused else None
+    assert schur_inverse(np.stack([np.eye(d), a]), np.stack([np.zeros((d, d)), b]))[2] \
+        == [None, reason]
+    if refused:
+        with pytest.raises(DegenerateDesignError, match=f"^{reason}$"):
+            schur_inverse(a, b)
+    else:
+        schur_inverse(a, b)
 
 
 def test_engine_covariance_matches_public_constructor():
