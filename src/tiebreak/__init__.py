@@ -21,10 +21,9 @@ from .general import (DesignEvaluation, FeatureMatrix, SearchResult,
                       design_search, evaluate_design, expected_weights,
                       fully_randomized_covariance)
 from .mc import (SimConfig, SimReport, closed_form_reference,
-                 empirical_covariance, ols_fit, run_simulation,
-                 sample_assignment, simulate_outcomes)
-from .moments import (DesignMoments, central_zx_mean, design_moments,
-                      gaussian_zx_mean, rule_moments, sliding_moments)
+                 empirical_covariance, ols_fit, run_simulation)
+from .moments import (central_zx_mean, design_moments, gaussian_zx_mean,
+                      sliding_moments)
 from .quadratic import covariance_quadratic, var_gain_quadratic
 from .sliding import (SlidingVariances, equivalent_tiebreaker,
                       full_covariance_sliding, moment_determinant,
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssignmentDistribution", "CoefCovariance", "DegenerateDesignError",
-    "DesignEvaluation", "DesignMoments", "DomainError", "FeatureMatrix",
+    "DesignEvaluation", "DomainError", "FeatureMatrix",
     "IntervalRule", "NoFeasibleDesignError",
     "QUADRATIC_LABELS", "RankDeficientError", "ScoreThresholdRule",
     "SearchResult", "SimConfig", "SimReport", "SlidingScale",
@@ -53,8 +52,7 @@ __all__ = [
     "min_delta_for_fraction",
     "moment_determinant", "noncentral_covariance", "ols_fit",
     "optimal_delta", "precision", "rank_transform",
-    "rule_moments", "run_simulation", "sample_assignment",
-    "simulate_outcomes", "sliding_moments", "subject_ranks", "symmetrize",
+    "run_simulation", "sliding_moments", "subject_ranks", "symmetrize",
     "treatment_probability", "value", "var_gain_at_x",
     "var_gain_quadratic", "variances_sliding",
 ]

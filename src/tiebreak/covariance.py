@@ -15,7 +15,7 @@ Schur inverse with sample sums, under the same degeneracy rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class CoefCovariance:
 
     labels: tuple[str, ...]
     matrix: np.ndarray
-    n_scaled: bool = field(default=True)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -110,7 +109,6 @@ class CoefCovariance:
         cov = object.__new__(cls)
         object.__setattr__(cov, "labels", labels)
         object.__setattr__(cov, "matrix", matrix)
-        object.__setattr__(cov, "n_scaled", True)
         return cov
 
     @property
@@ -140,7 +138,6 @@ class CoefCovariance:
     def to_dict(self) -> dict:
         return {
             "labels": list(self.labels),
-            "n_scaled": self.n_scaled,
             "matrix": [[float(v) for v in row] for row in self.matrix],
         }
 

@@ -188,19 +188,6 @@ def _candidates(vals: np.ndarray, thetas, deltas, ps):
     return axes, var, cross, reasons
 
 
-def _evaluations(vals: np.ndarray, thetas, deltas, ps) -> list["DesignEvaluation"]:
-    """The evaluation of every (theta, delta, p) candidate, p varying fastest."""
-    (thetas, deltas, ps), var, cross, reasons = _candidates(vals, thetas, deltas, ps)
-    n = vals.shape[0]
-    rules = (ScoreThresholdRule._trusted(theta, delta, p)
-             for theta in thetas for delta in deltas for p in ps)
-    return [DesignEvaluation(rule=rule, n=n, feasible=False, reason=reason)
-            if reason else
-            DesignEvaluation(rule=rule, n=n, feasible=True,
-                             var_interaction=var[i], cov_cross=cross[i])
-            for i, (rule, reason) in enumerate(zip(rules, reasons))]
-
-
 @dataclass(frozen=True, eq=False)
 class DesignEvaluation:
     """Outcome of evaluating one threshold rule on a feature matrix.
@@ -265,8 +252,12 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     (everyone on one arm, or a collapsed Gram matrix) come back
     infeasible with a reason; nothing here raises for a bad design.
     """
-    return _evaluations(_feature_values(features), [rule.theta], [rule.delta],
-                        [rule.p])[0]
+    vals = _feature_values(features)
+    _, var, cross, (reason,) = _candidates(vals, [rule.theta], [rule.delta], [rule.p])
+    if reason:
+        return DesignEvaluation(rule=rule, n=vals.shape[0], feasible=False, reason=reason)
+    return DesignEvaluation(rule=rule, n=vals.shape[0], feasible=True,
+                            var_interaction=var[0], cov_cross=cross[0])
 
 
 def fully_randomized_covariance(features) -> np.ndarray:

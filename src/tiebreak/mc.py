@@ -65,6 +65,18 @@ def _arm_probabilities(x: np.ndarray, rule: DesignRule,
 
 
 def _draw_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.ndarray:
+    """Draw arms z in {-1, +1} from the probabilities Pr(z = +1 | x).
+
+    Always consumes exactly one uniform per subject, so the downstream
+    noise draws sit at the same stream offset whatever the scheme.
+    simple-random compares each uniform against Pr(z = +1 | x), which
+    also realizes the deterministic arms exactly. stratified-pairs walks
+    the fair-coin window in position order, gives each consecutive pair
+    one treated and one control member (the pair's first uniform decides
+    which), and tosses the leftover subject's own coin if the window is
+    odd; _arm_probabilities has checked that every probability is 0, 1/2,
+    or 1.
+    """
     us = rng.random(probs.size)
     if scheme == SIMPLE_RANDOM:
         return np.where(us < probs, 1.0, -1.0)
@@ -86,31 +98,6 @@ def _draw_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.n
 def _draw_outcomes(rng: np.random.Generator, m1: np.ndarray, m2: np.ndarray,
                    z: np.ndarray, sigma: float) -> np.ndarray:
     return m1 + z * m2 + sigma * rng.standard_normal(m1.size)
-
-
-def sample_assignment(rng: np.random.Generator, x: np.ndarray, rule: DesignRule,
-                      distribution: AssignmentDistribution | None = None,
-                      scheme: str = SIMPLE_RANDOM) -> np.ndarray:
-    """Draw arms z in {-1, +1} for fixed subject positions x.
-
-    Always consumes exactly one uniform per subject, so the downstream
-    noise draws sit at the same stream offset whatever the scheme.
-    simple-random compares each uniform against Pr(z = +1 | x), which
-    also realizes the deterministic arms exactly. stratified-pairs walks
-    the fair-coin window in position order, gives each consecutive pair
-    one treated and one control member (the pair's first uniform decides
-    which), and tosses the leftover subject's own coin if the window is
-    odd; it requires every probability to be 0, 1/2, or 1.
-    """
-    x = np.asarray(x, dtype=float)
-    return _draw_arms(rng, _arm_probabilities(x, rule, distribution, scheme), scheme)
-
-
-def simulate_outcomes(rng: np.random.Generator, features: np.ndarray,
-                      z: np.ndarray, baseline: np.ndarray,
-                      interaction: np.ndarray, sigma: float) -> np.ndarray:
-    """Draw outcomes y = F b + z (F g) + sigma * noise."""
-    return _draw_outcomes(rng, features @ baseline, features @ interaction, z, sigma)
 
 
 def _products(features: np.ndarray) -> np.ndarray:

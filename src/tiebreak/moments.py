@@ -42,15 +42,11 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class DesignMoments:
-    """First cross moments of (z, x): E[z], E[zx], E[zx^2], and E[x^2]."""
+    """First cross moments of (z, x): E[z], E[zx] and E[zx^2]."""
 
     z_mean: float
     zx_mean: float
     zx2_mean: float
-    x2_mean: float = 1.0 / 3.0
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return abs(self.z_mean) <= tol and abs(self.zx2_mean) <= tol
 
 
 def _check_delta(delta) -> np.ndarray:
@@ -185,13 +181,6 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
     return full, w
 
 
-def rule_moments(rule, distribution: AssignmentDistribution | None = None) -> DesignMoments:
-    """E[z], E[zx], E[zx^2] and E[x^2] of any rule (uniform rank default)."""
-    x_mom, w_mom = design_moments(rule, distribution)
-    return DesignMoments(float(w_mom[0]), float(w_mom[1]), float(w_mom[2]),
-                         x2_mean=float(x_mom[2]))
-
-
 def sliding_moments(scale: SlidingScale) -> DesignMoments:
     """Moments of a sliding scale on the uniform rank scale.
 
@@ -201,4 +190,5 @@ def sliding_moments(scale: SlidingScale) -> DesignMoments:
     """
     if not isinstance(scale, SlidingScale):
         raise DomainError("expected a SlidingScale")
-    return rule_moments(scale)
+    _, w = design_moments(scale)
+    return DesignMoments(float(w[0]), float(w[1]), float(w[2]))

@@ -17,35 +17,34 @@ import numpy as np
 from .covariance import CoefCovariance, moment_covariance
 from .designs import SlidingScale
 from .errors import DomainError
-from .moments import DesignMoments, sliding_moments
+from .moments import design_moments
 
 _BALANCE_TOL = 1e-6
 
 
-def _as_moments(scale_or_moments) -> DesignMoments:
-    if isinstance(scale_or_moments, DesignMoments):
-        return scale_or_moments
-    if isinstance(scale_or_moments, SlidingScale):
-        return sliding_moments(scale_or_moments)
-    raise DomainError("expected a SlidingScale or DesignMoments")
+def _scale_moments(scale):
+    """(E[x^k], E[w x^k]) of a sliding scale, anything else refused."""
+    if not isinstance(scale, SlidingScale):
+        raise DomainError("expected a SlidingScale")
+    return design_moments(scale)
 
 
-def _require_balanced(mom: DesignMoments) -> DesignMoments:
-    if abs(mom.z_mean) > _BALANCE_TOL:
+def _require_balanced(w_mom: np.ndarray):
+    if abs(w_mom[0]) > _BALANCE_TOL:
         raise DomainError(
             "scale allocates unequal arms (|E z| = %.3g); the closed forms "
-            "assume a balanced scale" % abs(mom.z_mean))
-    return mom
+            "assume a balanced scale" % abs(w_mom[0]))
 
 
-def moment_determinant(scale_or_moments) -> float:
+def moment_determinant(scale: SlidingScale) -> float:
     """det of the (z, zx) moment matrix for a balanced scale.
 
     With u = E[zx] and v = E[zx^2] this is 1/3 - 2 u^2 - 3 v^2 + 3 u^4.
     Larger is better: both slope variances carry it in the denominator.
     """
-    mom = _require_balanced(_as_moments(scale_or_moments))
-    u, v = mom.zx_mean, mom.zx2_mean
+    _, w_mom = _scale_moments(scale)
+    _require_balanced(w_mom)
+    u, v = float(w_mom[1]), float(w_mom[2])
     return 1.0 / 3.0 - 2.0 * u * u - 3.0 * v * v + 3.0 * u ** 4
 
 
@@ -57,29 +56,30 @@ class SlidingVariances:
     var_slope: float  # N Var(b1) = N Var(b3)
 
 
-def variances_sliding(scale_or_moments) -> SlidingVariances:
+def variances_sliding(scale: SlidingScale) -> SlidingVariances:
     """Scaled variances under a balanced scale.
 
     N Var(b1) = N Var(b3) = (1 - 3 u^2)/det and N Var(b0) = N Var(b2)
     = (1/3 - u^2 - 3 v^2)/det, with u = E[zx], v = E[zx^2], read off
-    full_covariance_sliding. Impossible moments raise DegenerateDesignError.
+    the full covariance.
     """
-    mom = _require_balanced(_as_moments(scale_or_moments))
-    cov = full_covariance_sliding(mom)
+    x_mom, w_mom = _scale_moments(scale)
+    _require_balanced(w_mom)
+    cov = moment_covariance(x_mom, w_mom)
     return SlidingVariances(var_level=cov.var("beta0"), var_slope=cov.var("beta1"))
 
 
-def full_covariance_sliding(scale_or_moments) -> CoefCovariance:
+def full_covariance_sliding(scale: SlidingScale) -> CoefCovariance:
     """Full 4x4 scaled covariance of the two-line fit under a scale.
 
-    Exact for any scale, balanced or not, via the Schur complement of
-    the design Gram matrix. For balanced scales the diagonal reproduces
-    variances_sliding; a non-zero E[zx^2] couples the slopes b1 and b3
-    (and the levels b0 and b2), which the variances alone do not show.
+    design_covariance(scale): exact for any scale, balanced or not, via
+    the Schur complement of the design Gram matrix. For balanced scales
+    the diagonal reproduces variances_sliding; a non-zero E[zx^2] couples
+    the slopes b1 and b3 (and the levels b0 and b2), which the variances
+    alone do not show. A scale that puts everyone on one arm raises
+    DegenerateDesignError.
     """
-    mom = _as_moments(scale_or_moments)
-    return moment_covariance((1.0, 0.0, mom.x2_mean),
-                             (mom.z_mean, mom.zx_mean, mom.zx2_mean))
+    return moment_covariance(*_scale_moments(scale))
 
 
 def symmetrize(scale: SlidingScale) -> SlidingScale:
@@ -97,15 +97,14 @@ def symmetrize(scale: SlidingScale) -> SlidingScale:
     return scale.symmetrized()
 
 
-def equivalent_tiebreaker(scale_or_moments) -> float:
+def equivalent_tiebreaker(scale: SlidingScale) -> float:
     """Window width of the fair-coin tie-breaker with the same E[zx].
 
     Solving (1 - delta^2)/2 = E[zx] gives delta = sqrt(1 - 2 E[zx]).
     Defined for E[zx] in [0, 1/2]; scales that weight low scorers more
     than high ones have no window counterpart.
     """
-    mom = _as_moments(scale_or_moments)
-    u = mom.zx_mean
+    u = float(_scale_moments(scale)[1][1])
     if not 0.0 <= u <= 0.5 + 1e-12:
         raise DomainError("no equivalent window: E[zx] must lie in [0, 1/2]")
     return float(np.sqrt(max(0.0, 1.0 - 2.0 * min(u, 0.5))))

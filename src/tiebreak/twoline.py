@@ -104,9 +104,11 @@ def gain(delta, beta3, beta0: float = 0.0):
 
 def experimentation_cost(delta, beta3, n: float = 1.0):
     """Shortfall of a width-delta window against the sharp cut-off, summed
-    over n subjects: n b3 delta^2 / 2."""
+    over n subjects: n b3 delta^2 / 2. A non-finite b3 or n raises
+    DomainError."""
     delta = _check_delta(delta)
     _check_finite(beta3, "beta3")
+    _check_finite(n, "n")
     out = n * beta3 * delta * delta / 2.0
     return float(out) if np.ndim(out) == 0 else out
 
@@ -123,7 +125,9 @@ def precision(delta):
 
 
 def value(delta, beta3, lam, beta0: float = 0.0):
-    """Gain plus lam times precision, the objective traded off by delta."""
+    """Gain plus lam times precision, the objective traded off by delta.
+    A non-finite lam raises DomainError."""
+    _check_finite(lam, "lam")
     if lam < 0.0:
         raise DomainError("the precision weight lam must be non-negative")
     out = gain(delta, beta3, beta0) + lam * precision(delta)

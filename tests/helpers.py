@@ -72,8 +72,8 @@ def brute_design(features: np.ndarray, theta, delta: float, p: float):
 def loop_replicate_fits(config: mc.SimConfig):
     """The Monte Carlo replicate loop with one least-squares fit per replicate.
 
-    Per replicate: the Philox stream keyed (seed, rep), the public
-    sample_assignment and simulate_outcomes draws, then the joint fit from
+    Per replicate: the Philox stream keyed (seed, rep), the arm draw from
+    the rule's probabilities, then the noise draw, then the joint fit from
     F'(zF), F'y and (zF)'y through a 2-D Schur inverse, a refused design
     caught and marked. Returns the coefficients in natural order (NaN rows
     where degenerate), the degenerate mask, and the condition number of
@@ -82,6 +82,7 @@ def loop_replicate_fits(config: mc.SimConfig):
     x = config.distribution.points(config.n)
     f = mc.design_matrix(x, config.model)
     baseline, interaction = np.asarray(config.baseline), np.asarray(config.interaction)
+    probs = mc._arm_probabilities(x, config.rule, config.distribution, config.scheme)
     a = f.T @ f
     d = f.shape[1]
     coefs = np.full((config.reps, 2 * d), np.nan)
@@ -89,8 +90,8 @@ def loop_replicate_fits(config: mc.SimConfig):
     schur_cond = np.empty(config.reps)
     for rep in range(config.reps):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
-        z = mc.sample_assignment(rng, x, config.rule, config.distribution, config.scheme)
-        y = mc.simulate_outcomes(rng, f, z, baseline, interaction, config.sigma)
+        z = mc._draw_arms(rng, probs, config.scheme)
+        y = mc._draw_outcomes(rng, f @ baseline, f @ interaction, z, config.sigma)
         zf = z[:, None] * f
         b = f.T @ zf
         schur_cond[rep] = np.linalg.cond(a - b @ np.linalg.solve(a, b))

@@ -161,6 +161,12 @@ class TestOptimalDelta:
                                       "--lam", "0"])
         assert result.exit_code == 2
 
+    def test_non_finite_n_exits_2(self, runner):
+        result = runner.invoke(main, ["optimal-delta", "--beta3", "1",
+                                      "--lam", "2", "--n", "nan"])
+        assert result.exit_code == 2
+        assert "n must be finite" in result.output
+
 
 class TestNoncentral:
 

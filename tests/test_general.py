@@ -10,7 +10,7 @@ from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               ScoreThresholdRule, TieBreaker)
 from tiebreak.errors import (DegenerateDesignError, DomainError,
                              NoFeasibleDesignError)
-from tiebreak.general import (CRITERIA, FeatureMatrix, _criterion, _evaluations,
+from tiebreak.general import (CRITERIA, FeatureMatrix, _candidates, _criterion,
                               _window_blocks, design_search, evaluate_design,
                               expected_weights, fully_randomized_covariance)
 from tiebreak.mc import SimConfig, design_matrix, run_simulation
@@ -370,39 +370,38 @@ def search_grids(draw):
 @given(search_grids())
 def test_design_search_matches_brute_force(search):
     vals, thetas, grid, ps = search
-    evaluations = _evaluations(vals, thetas, grid, ps)
+    _, got_var, got_cross, reasons = _candidates(vals, thetas, grid, ps)
     keys = [(ti, di, pi) for ti in range(len(thetas)) for di in range(len(grid))
             for pi in range(len(ps))]
-    assert len(evaluations) == len(keys)
+    assert len(reasons) == len(keys)
     classes = {}
-    for (ti, di, pi), ev in zip(keys, evaluations):
+    for i, (ti, di, pi) in enumerate(keys):
         theta, delta, p = thetas[ti], grid[di], ps[pi]
-        assert ev.rule == ScoreThresholdRule(theta, delta, p)
         reason, var, cross, cond = _brute_reason(vals, theta, delta, p)
         if reason == "borderline":
             continue
-        assert ev.feasible == (reason is None)
+        assert (reasons[i] is None) == (reason is None)
         if reason is not None:
-            assert ev.reason.split(":")[0] == reason
+            assert reasons[i].split(":")[0] == reason
             continue
         # Both sides are accurate to about cond(G) * eps: over 5160 such
         # candidates checked against 50-digit arithmetic, the search erred by
         # at most 0.83 and the brute force by 1.32 times cond(G) * eps.
         tol = 1e-12 * max(1.0, cond / 1e2)
         scale = max(np.abs(var).max(), np.abs(cross).max())
-        assert np.abs(ev.var_interaction - var).max() <= tol * scale
-        assert np.abs(ev.cov_cross - cross).max() <= tol * scale
+        assert np.abs(got_var[i] - var).max() <= tol * scale
+        assert np.abs(got_cross[i] - cross).max() <= tol * scale
         # Candidates with the same expected arms tie exactly: one theta at
         # several deltas or ps, or any thetas whose window holds everyone.
         w = brute_design(vals, theta, delta, p)[0]
         inside = bool(np.all(np.abs(vals @ np.array(theta)) < delta))
-        classes.setdefault((None if inside else theta, w.tobytes()), []).append(ev)
+        classes.setdefault((None if inside else theta, w.tobytes()), []).append(i)
     for tied in classes.values():
-        for ev in tied[1:]:
-            assert ev.var_interaction.tobytes() == tied[0].var_interaction.tobytes()
-            assert ev.cov_cross.tobytes() == tied[0].cov_cross.tobytes()
+        for i in tied[1:]:
+            assert got_var[i].tobytes() == got_var[tied[0]].tobytes()
+            assert got_cross[i].tobytes() == got_cross[tied[0]].tobytes()
 
-    feasible = {k for k, ev in zip(keys, evaluations) if ev.feasible}
+    feasible = {k for k, reason in zip(keys, reasons) if reason is None}
     if not feasible:
         with pytest.raises(NoFeasibleDesignError):
             design_search(vals, thetas, grid, ps)
@@ -411,15 +410,18 @@ def test_design_search_matches_brute_force(search):
     assert {(r.theta_index, r.delta_index, r.p_index) for r in results} == feasible
     for r in results:
         assert r.value == r.evaluation.trace()
+        assert r.evaluation.rule == ScoreThresholdRule(
+            thetas[r.theta_index], grid[r.delta_index], ps[r.p_index])
     assert [(r.value, r.theta_index, r.delta_index, r.p_index) for r in results] == \
         sorted((r.value, r.theta_index, r.delta_index, r.p_index) for r in results)
 
 
-def _evaluation_bytes(evaluations):
-    return [(ev.rule, ev.feasible, ev.reason,
-             None if ev.var_interaction is None else ev.var_interaction.tobytes(),
-             None if ev.cov_cross is None else ev.cov_cross.tobytes())
-            for ev in evaluations]
+def _candidate_bytes(vals, thetas, grid, ps):
+    """Each candidate's reason, or its Var(g-hat) and Cov(b-hat, g-hat) bytes."""
+    _, var, cross, reasons = _candidates(vals, thetas, grid, ps)
+    return [(reason, None, None) if reason else
+            (None, var[i].tobytes(), cross[i].tobytes())
+            for i, reason in enumerate(reasons)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -439,10 +441,10 @@ def test_blocked_window_blocks_equal_per_direction_calls(search, block):
     # allows: one, `block`, or (by default, on these small tables) all.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(general, "_BIN_CELLS", 1)
-        want = _evaluation_bytes(_evaluations(vals, thetas, grid, ps))
+        want = _candidate_bytes(vals, thetas, grid, ps)
         mp.setattr(general, "_BIN_CELLS", block * vals.shape[0])
-        assert _evaluation_bytes(_evaluations(vals, thetas, grid, ps)) == want
-    assert _evaluation_bytes(_evaluations(vals, thetas, grid, ps)) == want
+        assert _candidate_bytes(vals, thetas, grid, ps) == want
+    assert _candidate_bytes(vals, thetas, grid, ps) == want
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -452,11 +454,10 @@ def test_design_search_ranks_as_sorting_by_key(search, criterion):
     # the candidate indices decide.
     vals, thetas, grid, ps = search
     contrast = np.arange(1.0, vals.shape[1] + 1.0) if criterion == "contrast" else None
-    evaluations = _evaluations(vals, thetas, grid, ps)
-    feasible = [i for i, ev in enumerate(evaluations) if ev.feasible]
+    _, var, cross, reasons = _candidates(vals, thetas, grid, ps)
+    feasible = [i for i, reason in enumerate(reasons) if reason is None]
     assume(feasible)
-    values = _criterion(np.array([evaluations[i].var_interaction for i in feasible]),
-                        criterion, contrast)
+    values = _criterion(var[feasible], criterion, contrast)
     per_theta = len(grid) * len(ps)
     want = sorted((float(v), i // per_theta, i % per_theta // len(ps), i % len(ps))
                   for i, v in zip(feasible, values))
@@ -464,7 +465,8 @@ def test_design_search_ranks_as_sorting_by_key(search, criterion):
     assert [(r.value, r.theta_index, r.delta_index, r.p_index) for r in results] == want
     for r in results:
         i = (r.theta_index * len(grid) + r.delta_index) * len(ps) + r.p_index
-        assert _evaluation_bytes([r.evaluation]) == _evaluation_bytes([evaluations[i]])
+        assert r.evaluation.var_interaction.tobytes() == var[i].tobytes()
+        assert r.evaluation.cov_cross.tobytes() == cross[i].tobytes()
 
 
 def _first_bad_candidate(features, thetas, deltas, ps):

@@ -20,12 +20,17 @@ def _window_mask(x, delta):
     return (np.abs(x) < delta) & (x > -delta)
 
 
+def _arms(rng, x, rule, scheme=mc.SIMPLE_RANDOM):
+    """One replicate's arm draw, as the Monte Carlo loop makes it."""
+    return mc._draw_arms(rng, mc._arm_probabilities(x, rule, None, scheme), scheme)
+
+
 class TestSampleAssignment:
 
     def test_deterministic_arms_outside_window(self):
         x = AssignmentDistribution.uniform_rank().points(801)
         rng = np.random.default_rng(0)
-        z = mc.sample_assignment(rng, x, TieBreaker(0.5))
+        z = _arms(rng, x, TieBreaker(0.5))
         assert np.all(z[x >= 0.5] == 1.0)
         assert np.all(z[x <= -0.5] == -1.0)
         assert set(np.unique(z)) == {-1.0, 1.0}
@@ -33,7 +38,7 @@ class TestSampleAssignment:
     def test_window_fraction_near_half(self):
         x = AssignmentDistribution.uniform_rank().points(4000)
         rng = np.random.default_rng(7)
-        z = mc.sample_assignment(rng, x, TieBreaker(0.5))
+        z = _arms(rng, x, TieBreaker(0.5))
         inside = np.abs(x) < 0.5
         frac = np.mean(z[inside] == 1.0)
         # 2000 fair coins: five sigmas is ~0.056.
@@ -43,9 +48,8 @@ class TestSampleAssignment:
         x = AssignmentDistribution.uniform_rank().points(101)
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
-        mc.sample_assignment(rng_a, x, TieBreaker(0.5), scheme=mc.SIMPLE_RANDOM)
-        mc.sample_assignment(rng_b, x, TieBreaker(0.5),
-                             scheme=mc.STRATIFIED_PAIRS)
+        _arms(rng_a, x, TieBreaker(0.5), scheme=mc.SIMPLE_RANDOM)
+        _arms(rng_b, x, TieBreaker(0.5), scheme=mc.STRATIFIED_PAIRS)
         np.testing.assert_array_equal(rng_a.standard_normal(8),
                                       rng_b.standard_normal(8))
 
@@ -54,8 +58,7 @@ class TestSampleAssignment:
         inside = _window_mask(x, 0.5)
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            z = mc.sample_assignment(rng, x, TieBreaker(0.5),
-                                     scheme=mc.STRATIFIED_PAIRS)
+            z = _arms(rng, x, TieBreaker(0.5), scheme=mc.STRATIFIED_PAIRS)
             assert abs(z[inside].sum()) <= 1.0
             assert np.all(z[x >= 0.5] == 1.0)
             assert np.all(z[x <= -0.5] == -1.0)
@@ -64,8 +67,7 @@ class TestSampleAssignment:
         x = AssignmentDistribution.uniform_rank().points(500)
         idx = np.flatnonzero(_window_mask(x, 0.5))
         rng = np.random.default_rng(3)
-        z = mc.sample_assignment(rng, x, TieBreaker(0.5),
-                                 scheme=mc.STRATIFIED_PAIRS)
+        z = _arms(rng, x, TieBreaker(0.5), scheme=mc.STRATIFIED_PAIRS)
         npairs = idx.size // 2
         pair_sums = z[idx[:2 * npairs:2]] + z[idx[1:2 * npairs:2]]
         np.testing.assert_array_equal(pair_sums, np.zeros(npairs))
@@ -74,8 +76,7 @@ class TestSampleAssignment:
         x = AssignmentDistribution.uniform_rank().points(50)
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError, match="stratified pairing"):
-            mc.sample_assignment(rng, x, TieBreaker(0.5, p=0.3),
-                                 scheme=mc.STRATIFIED_PAIRS)
+            _arms(rng, x, TieBreaker(0.5, p=0.3), scheme=mc.STRATIFIED_PAIRS)
         # A run refuses the rule once, before any replicate stream exists.
         def no_streams(*args, **kwargs):
             raise AssertionError("a replicate was drawn")
@@ -88,8 +89,7 @@ class TestSampleAssignment:
     def test_unknown_scheme_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
-            mc.sample_assignment(rng, np.zeros(4), TieBreaker(0.5),
-                                 scheme="blocked")
+            _arms(rng, np.zeros(4), TieBreaker(0.5), scheme="blocked")
 
 
 class TestOlsFit:
@@ -97,7 +97,7 @@ class TestOlsFit:
     def _draw(self, rng, n, model):
         x = AssignmentDistribution.uniform_rank().points(n)
         f = mc.design_matrix(x, model)
-        z = mc.sample_assignment(rng, x, TieBreaker(0.5))
+        z = _arms(rng, x, TieBreaker(0.5))
         y = rng.standard_normal(n)
         return f, z, y
 
@@ -125,7 +125,7 @@ class TestOlsFit:
         rng = np.random.default_rng(13)
         x = AssignmentDistribution.uniform_rank().points(400)
         f = mc.design_matrix(x, mc.QUADRATIC)
-        z = mc.sample_assignment(rng, x, TieBreaker(0.5))
+        z = _arms(rng, x, TieBreaker(0.5))
         baseline = np.array([0.5, -0.3, 0.2])
         interaction = np.array([1.0, 0.7, -0.4])
         y = f @ baseline + z * (f @ interaction)
@@ -346,7 +346,7 @@ class TestRunSimulation:
 
         def realized(scheme, seed):
             rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-            z = mc.sample_assignment(rng, x, TieBreaker(1.0), scheme=scheme)
+            z = _arms(rng, x, TieBreaker(1.0), scheme=scheme)
             full = np.hstack([f, z[:, None] * f])
             ginv = np.linalg.inv(full.T @ full)
             return 1000.0 * ginv[2, 2]

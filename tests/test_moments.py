@@ -12,7 +12,7 @@ from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               SlidingScale, ThreeLevelRule, TieBreaker)
 from tiebreak.errors import DomainError
 from tiebreak.moments import (central_zx_mean, design_moments,
-                              gaussian_zx_mean, rule_moments, sliding_moments)
+                              gaussian_zx_mean, sliding_moments)
 
 from helpers import (balanced_monotone_scale, central_zx3_mean,
                      interval_moments, three_level_zx_mean)
@@ -96,22 +96,21 @@ def test_interval_moments_against_quadrature():
 
 def test_interval_moments_central_reduction():
     for d in (0.0, 0.3, 0.7, 1.0):
-        mom = rule_moments(IntervalRule(-d, d, 0.5))
-        assert mom.z_mean == 0.0
-        assert mom.zx_mean == pytest.approx(central_zx_mean(d), abs=1e-15)
-        assert mom.zx2_mean == 0.0
-        assert mom.is_symmetric()
+        _, w = design_moments(IntervalRule(-d, d, 0.5))
+        assert w[0] == 0.0
+        assert w[1] == pytest.approx(central_zx_mean(d), abs=1e-15)
+        assert w[2] == 0.0
 
 
 def test_three_level_zx_mean():
     # epsilon = 0 recovers the tie-breaker moment
     for d in (0.0, 0.4, 1.0):
-        assert rule_moments(ThreeLevelRule(d, 0.0)).zx_mean == pytest.approx(
+        assert design_moments(ThreeLevelRule(d, 0.0))[1][1] == pytest.approx(
             central_zx_mean(d), abs=1e-16)
-    assert rule_moments(ThreeLevelRule(0.0, 0.1)).zx_mean == pytest.approx(
+    assert design_moments(ThreeLevelRule(0.0, 0.1))[1][1] == pytest.approx(
         0.4, abs=1e-15)
     # Nearly-fair outer coins carry almost no signal
-    assert rule_moments(ThreeLevelRule(0.3, 0.499)).zx_mean == pytest.approx(
+    assert design_moments(ThreeLevelRule(0.3, 0.499))[1][1] == pytest.approx(
         0.00091, abs=1e-12)
     with pytest.raises(DomainError):
         ThreeLevelRule(0.3, 0.5)
@@ -182,27 +181,29 @@ def test_sliding_moments_absolute_value_scale():
 
 
 def test_rule_moments_dispatch():
-    assert rule_moments(TieBreaker(0.5)) == rule_moments(IntervalRule(-0.5, 0.5, 0.5))
+    tie_x, tie_w = design_moments(TieBreaker(0.5))
+    window_x, window_w = design_moments(IntervalRule(-0.5, 0.5, 0.5))
+    np.testing.assert_array_equal(tie_x, window_x)
+    np.testing.assert_array_equal(tie_w[:3], window_w[:3])
     for a, b, p in ((-0.2, 0.6, 0.7), (-1.0, 0.3, 0.2), (0.9, 1.0, 0.5)):
-        mom = rule_moments(IntervalRule(a, b, p))
-        np.testing.assert_allclose((mom.z_mean, mom.zx_mean, mom.zx2_mean),
-                                   interval_moments(a, b, p), rtol=0, atol=1e-15)
-    mom = rule_moments(ThreeLevelRule(0.2, 0.05))
-    assert mom.zx_mean == pytest.approx(three_level_zx_mean(0.2, 0.05), abs=1e-15)
-    assert mom.x2_mean == 1.0 / 3.0
+        _, w = design_moments(IntervalRule(a, b, p))
+        np.testing.assert_allclose(w[:3], interval_moments(a, b, p), rtol=0, atol=1e-15)
+    x, w = design_moments(ThreeLevelRule(0.2, 0.05))
+    assert w[1] == pytest.approx(three_level_zx_mean(0.2, 0.05), abs=1e-15)
+    assert x[2] == 1.0 / 3.0
     # The outer arm levels 2 epsilon - 1 and 1 - 2 epsilon are exact
     # negatives, so the even moments cancel exactly on both scales.
     for dist in (None, GAUSSIAN):
         for delta, epsilon in ((0.5, 0.2), (0.2, 0.3), (0.2, 0.05), (0.0, 0.1),
                                (0.7, 0.45), (1.0, 0.3), (0.33, 0.1)):
-            mom = rule_moments(ThreeLevelRule(delta, epsilon), dist)
-            assert mom.z_mean == 0.0 and mom.zx2_mean == 0.0
+            _, w = design_moments(ThreeLevelRule(delta, epsilon), dist)
+            assert w[0] == 0.0 and w[2] == 0.0
 
 
 def test_rule_moments_gaussian():
-    mom = rule_moments(TieBreaker(0.5), GAUSSIAN)
-    assert (mom.z_mean, mom.zx2_mean, mom.x2_mean) == (0.0, 0.0, 1.0)
-    assert mom.zx_mean == pytest.approx(gaussian_zx_mean(0.5), abs=1e-15)
+    x, w = design_moments(TieBreaker(0.5), GAUSSIAN)
+    assert (w[0], w[2], x[2]) == (0.0, 0.0, 1.0)
+    assert w[1] == pytest.approx(gaussian_zx_mean(0.5), abs=1e-15)
     for rule in (IntervalRule(-0.5, 0.8), TieBreaker(0.5, p=0.7),
                  ThreeLevelRule(0.3, 0.2), TieBreaker(0.0), TieBreaker(1.0, p=0.3),
                  TieBreaker(np.nextafter(1.0, 0.0))):
@@ -212,7 +213,7 @@ def test_rule_moments_gaussian():
             assert w[k] == pytest.approx(
                 quad_window_moment(rule, k, gaussian=True), abs=1e-12)
     with pytest.raises(DomainError):
-        rule_moments(SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0]), GAUSSIAN)
+        design_moments(SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0]), GAUSSIAN)
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -225,17 +226,16 @@ coin = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @given(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), coin)
 def test_interval_moments_match_closed_form(ends, p):
     a, b = min(ends), max(ends)
-    mom = rule_moments(IntervalRule(a, b, p))
-    np.testing.assert_allclose((mom.z_mean, mom.zx_mean, mom.zx2_mean),
-                               interval_moments(a, b, p), rtol=0, atol=4e-16)
+    _, w = design_moments(IntervalRule(a, b, p))
+    np.testing.assert_allclose(w[:3], interval_moments(a, b, p), rtol=0, atol=4e-16)
 
 
 @PROPERTY
 @given(unit, st.floats(0.0, 0.5, exclude_max=True))
 def test_three_level_and_central_moments_match_closed_form(delta, epsilon):
-    mom = rule_moments(ThreeLevelRule(delta, epsilon))
-    assert mom.z_mean == 0.0 and mom.zx2_mean == 0.0
-    assert mom.zx_mean == pytest.approx(three_level_zx_mean(delta, epsilon),
-                                        rel=1e-15, abs=1e-16)
+    _, w = design_moments(ThreeLevelRule(delta, epsilon))
+    assert w[0] == 0.0 and w[2] == 0.0
+    assert w[1] == pytest.approx(three_level_zx_mean(delta, epsilon),
+                                 rel=1e-15, abs=1e-16)
     _, w = design_moments(TieBreaker(delta))
     assert w[3] == pytest.approx(central_zx3_mean(delta), rel=1e-15, abs=1e-16)

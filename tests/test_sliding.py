@@ -3,7 +3,7 @@ import pytest
 
 from tiebreak.designs import SlidingScale, TieBreaker
 from tiebreak.errors import DegenerateDesignError, DomainError
-from tiebreak.moments import DesignMoments, sliding_moments
+from tiebreak.moments import sliding_moments
 from tiebreak.sliding import (equivalent_tiebreaker, full_covariance_sliding,
                               moment_determinant, symmetrize,
                               variances_sliding)
@@ -18,19 +18,20 @@ ABS_SCALE = SlidingScale.from_callable(abs, breakpoints=(0.0,))
 def test_determinant_matches_schur():
     rng = np.random.default_rng(21)
     for _ in range(10):
-        mom = sliding_moments(balanced_monotone_scale(rng))
+        scale = balanced_monotone_scale(rng)
+        mom = sliding_moments(scale)
         a = np.diag([1.0, 1.0 / 3.0])
         b = np.array([[mom.z_mean, mom.zx_mean], [mom.zx_mean, mom.zx2_mean]])
         var, _ = schur_inverse(a, b)
-        assert moment_determinant(mom) == pytest.approx(1.0 / np.linalg.det(var),
-                                                        abs=1e-12)
+        assert moment_determinant(scale) == pytest.approx(1.0 / np.linalg.det(var),
+                                                          abs=1e-12)
 
 
 def test_determinant_of_window_scales():
     for d in (0.0, 0.5, 1.0):
-        mom = sliding_moments(SlidingScale.from_rule(TieBreaker(d)))
+        scale = SlidingScale.from_rule(TieBreaker(d))
         u = (1 - d * d) / 2
-        assert moment_determinant(mom) == pytest.approx(
+        assert moment_determinant(scale) == pytest.approx(
             (1 - 3 * u * u) * (1.0 / 3.0 - u * u), abs=1e-9)
 
 
@@ -40,8 +41,8 @@ def test_variances_match_full_covariance():
         scale = balanced_monotone_scale(rng)
         mom = sliding_moments(scale)
         level, slope = sliding_variances(mom.zx_mean, mom.zx2_mean)
-        var = variances_sliding(mom)
-        full = full_covariance_sliding(mom)
+        var = variances_sliding(scale)
+        full = full_covariance_sliding(scale)
         assert var.var_level == pytest.approx(level, rel=1e-12)
         assert var.var_slope == pytest.approx(slope, rel=1e-12)
         assert full.var("beta2") == pytest.approx(level, rel=1e-12)
@@ -49,7 +50,11 @@ def test_variances_match_full_covariance():
 
 
 def test_unbalanced_scale_rejected():
-    lopsided = DesignMoments(0.3, 0.2, 0.0)
+    # p rises from 0.5 to 0.9: E[z] = 0.4, E[zx] = 2/15, E[zx^2] = 2/15.
+    lopsided = SlidingScale.from_table([-1.0, 1.0], [0.5, 0.9])
+    mom = sliding_moments(lopsided)
+    np.testing.assert_allclose((mom.z_mean, mom.zx_mean, mom.zx2_mean),
+                               (0.4, 2.0 / 15.0, 2.0 / 15.0), rtol=0, atol=1e-15)
     with pytest.raises(DomainError):
         variances_sliding(lopsided)
     with pytest.raises(DomainError):
@@ -59,25 +64,15 @@ def test_unbalanced_scale_rejected():
     assert full.var("beta2") > 0
 
 
-def test_impossible_moments_are_degenerate():
-    # E[zx] <= 1/2 for any scale on ranks. At 0.6 both factors of the
-    # determinant, 1 - 3 u^2 and 1/3 - u^2, are negative, so their
-    # product is positive but the "variances" would be negative.
-    impossible = DesignMoments(0.0, 0.6, 0.0)
-    assert moment_determinant(impossible) > 0.0
-    with pytest.raises(DegenerateDesignError):
-        variances_sliding(impossible)
-
-
 def test_absolute_value_scale_frozen():
     mom = sliding_moments(ABS_SCALE)
     assert mom.zx_mean == pytest.approx(0.0, abs=1e-9)
     assert mom.zx2_mean == pytest.approx(1.0 / 6.0, abs=1e-9)
-    assert moment_determinant(mom) == pytest.approx(0.25, abs=1e-9)
-    var = variances_sliding(mom)
+    assert moment_determinant(ABS_SCALE) == pytest.approx(0.25, abs=1e-9)
+    var = variances_sliding(ABS_SCALE)
     assert var.var_level == pytest.approx(1.0, abs=1e-8)
     assert var.var_slope == pytest.approx(4.0, abs=1e-8)
-    full = full_covariance_sliding(mom)
+    full = full_covariance_sliding(ABS_SCALE)
     assert full.cov("beta1", "beta3") == pytest.approx(-2.0, abs=1e-8)
     # with E[z] = E[zx] = 0 the level coefficients decouple entirely
     assert full.cov("beta0", "beta2") == pytest.approx(0.0, abs=1e-8)
@@ -92,8 +87,8 @@ def test_absolute_value_counterexample():
     variance from 4 to 6 even as both individual variances stay put.
     """
     w = np.array([0.0, 1.0, 0.0, 1.0])
-    before = full_covariance_sliding(sliding_moments(ABS_SCALE))
-    after = full_covariance_sliding(sliding_moments(symmetrize(ABS_SCALE)))
+    before = full_covariance_sliding(ABS_SCALE)
+    after = full_covariance_sliding(symmetrize(ABS_SCALE))
     assert before.quadratic_form(w) == pytest.approx(4.0, abs=1e-8)
     assert after.quadratic_form(w) == pytest.approx(6.0, abs=1e-8)
     assert after.quadratic_form(w) > before.quadratic_form(w) + 1.0
@@ -109,15 +104,15 @@ def test_symmetrize_balances_and_helps():
         assert abs(mom_sym.z_mean) <= 1e-9
         assert abs(mom_sym.zx2_mean) <= 1e-9
         assert mom_sym.zx_mean == pytest.approx(mom.zx_mean, abs=1e-9)
-        assert moment_determinant(mom_sym) >= moment_determinant(mom) - 1e-10
-        assert variances_sliding(mom_sym).var_slope \
-            <= variances_sliding(mom).var_slope + 1e-8
+        assert moment_determinant(sym) >= moment_determinant(scale) - 1e-10
+        assert variances_sliding(sym).var_slope \
+            <= variances_sliding(scale).var_slope + 1e-8
 
 
 def test_equivalent_tiebreaker_roundtrip():
     for d in (0.0, 0.3, 0.6, 1.0):
         scale = SlidingScale.from_rule(TieBreaker(d))
-        assert equivalent_tiebreaker(sliding_moments(scale)) == pytest.approx(
+        assert equivalent_tiebreaker(scale) == pytest.approx(
             d, abs=1e-7)
 
 
@@ -127,18 +122,32 @@ def test_equivalent_tiebreaker_matches_slope_variance():
     rng = np.random.default_rng(50)
     for _ in range(5):
         sym = symmetrize(balanced_monotone_scale(rng))
-        mom = sliding_moments(sym)
-        d = equivalent_tiebreaker(mom)
-        assert variances_sliding(mom).var_slope == pytest.approx(
+        d = equivalent_tiebreaker(sym)
+        assert variances_sliding(sym).var_slope == pytest.approx(
             covariance_uniform(d).var("beta3"), rel=1e-6)
 
 
 def test_equivalent_tiebreaker_rejects_reversed_scales():
     reversed_scale = SlidingScale.from_table([-1.0, 1.0], [1.0, 0.0])
     with pytest.raises(DomainError):
-        equivalent_tiebreaker(sliding_moments(reversed_scale))
+        equivalent_tiebreaker(reversed_scale)
 
 
 def test_symmetrize_type_check():
     with pytest.raises(DomainError):
         symmetrize(TieBreaker(0.5))
+
+
+@pytest.mark.parametrize("call", [moment_determinant, variances_sliding,
+                                  full_covariance_sliding, equivalent_tiebreaker,
+                                  symmetrize])
+@pytest.mark.parametrize("bad", [TieBreaker(0.5), (0.0, 0.25, 0.0), None])
+def test_sliding_functions_take_only_scales(call, bad):
+    with pytest.raises(DomainError, match="SlidingScale"):
+        call(bad)
+
+
+def test_one_arm_scale_is_degenerate():
+    # Everyone treated: B = A, so the Schur complement vanishes.
+    with pytest.raises(DegenerateDesignError):
+        full_covariance_sliding(SlidingScale.from_table([-1, 1], [1, 1]))

@@ -125,7 +125,9 @@ def test_gain_and_cost():
     (lambda v: gain(0.5, 1.0, v), "beta0"),
     (lambda v: value(0.5, v, 1.0), "beta3"),
     (lambda v: value(0.5, 1.0, 1.0, beta0=v), "beta0"),
+    (lambda v: value(0.5, 1.0, v), "lam"),
     (lambda v: experimentation_cost(0.5, v), "beta3"),
+    (lambda v: experimentation_cost(0.5, 1.0, v), "n"),
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_inputs_raise(call, name, bad):
@@ -356,7 +358,7 @@ def test_engine_covariance_matches_public_constructor():
     for cov in built:
         public = CoefCovariance(cov.labels, cov.matrix)
         assert np.array_equal(cov.matrix, cov.matrix.T)
-        assert public.labels == cov.labels and public.n_scaled == cov.n_scaled
+        assert public.labels == cov.labels
         assert public.matrix.tobytes() == cov.matrix.tobytes()
         assert public.matrix.shape == cov.matrix.shape
         assert public.matrix.flags.c_contiguous and cov.matrix.flags.c_contiguous
@@ -412,6 +414,7 @@ def test_covariance_container_validation():
     cov = design_covariance(IntervalRule(-0.4, 0.4, 0.5))
     assert cov.labels == ("beta0", "beta1", "beta2", "beta3")
     d = cov.to_dict()
+    assert set(d) == {"labels", "matrix"}
     assert d["labels"] == list(cov.labels)
     assert np.asarray(d["matrix"]).shape == (4, 4)
 
