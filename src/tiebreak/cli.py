@@ -10,6 +10,7 @@ form by more than the standard-error budget.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import sys
@@ -17,7 +18,8 @@ import sys
 import click
 import numpy as np
 
-from . import mc, quadratic, sliding, twoline
+from . import mc, quadratic, twoline
+from .covariance import design_covariance
 from .designs import (AssignmentDistribution, IntervalRule, SlidingScale,
                       STANDARD_GAUSSIAN, ThreeLevelRule, TieBreaker,
                       UNIFORM_RANK)
@@ -90,18 +92,18 @@ def _out_option(fn):
                         help="Output format.")(fn)
 
 
-def _distribution(kind: str) -> AssignmentDistribution:
-    return (AssignmentDistribution.standard_gaussian()
-            if kind == STANDARD_GAUSSIAN
-            else AssignmentDistribution.uniform_rank())
-
-
-def _usage_guard(body):
-    """Map domain validation failures to usage errors (exit code 2)."""
+@contextlib.contextmanager
+def _exit_codes():
+    """Map the package's errors to exit codes: a DomainError is a usage
+    error (exit 2); a degenerate design or a search with nothing
+    feasible prints its message and exits 3."""
     try:
-        return body()
+        yield
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
+    except (DegenerateDesignError, NoFeasibleDesignError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
 
 
 @click.group()
@@ -118,16 +120,12 @@ def main():
 def cmd_twoline_curves(delta_grid, distribution, out):
     """Coefficient variances and efficiency across window widths."""
     deltas = parse_grid(delta_grid, "--delta-grid")
-
-    def body():
-        dist = _distribution(distribution)
-        cov_fn = (twoline.covariance_gaussian
-                  if dist.kind == STANDARD_GAUSSIAN
-                  else twoline.covariance_uniform)
+    dist = AssignmentDistribution(distribution)
+    with _exit_codes():
         rdd_effect_var = float(twoline.var_gain_at_x(0.0, 0.0, dist))
         rows = []
         for d in deltas:
-            cov = cov_fn(d, full=True)
+            cov = design_covariance(TieBreaker(float(d)), dist)
             rows.append([
                 d,
                 cov.var("beta0"), cov.var("beta1"),
@@ -135,9 +133,6 @@ def cmd_twoline_curves(delta_grid, distribution, out):
                 cov.cov("beta0", "beta3"), cov.cov("beta1", "beta2"),
                 rdd_effect_var / float(twoline.var_gain_at_x(d, 0.0, dist)),
             ])
-        return rows
-
-    rows = _usage_guard(body)
     emit_table(["delta", "n_var_beta0", "n_var_beta1", "n_var_beta2",
                 "n_var_beta3", "n_cov_beta0_beta3", "n_cov_beta1_beta2",
                 "efficiency_vs_rdd"], rows, out)
@@ -156,12 +151,11 @@ def cmd_gain_variance(delta_grid, x_grid, model, distribution, out):
     """Variance of the estimated treatment effect across the score range."""
     deltas = parse_grid(delta_grid, "--delta-grid")
     xs = parse_grid(x_grid, "--x-grid")
-
-    def body():
-        dist = _distribution(distribution)
-        if model == mc.QUADRATIC and dist.kind != UNIFORM_RANK:
-            raise DomainError("the quadratic model is analysed on the "
-                              "uniform rank scale only")
+    dist = AssignmentDistribution(distribution)
+    if model == mc.QUADRATIC and dist.kind != UNIFORM_RANK:
+        raise click.UsageError("the quadratic model is analysed on the "
+                               "uniform rank scale only")
+    with _exit_codes():
         rows = []
         for d in deltas:
             if model == mc.TWOLINE:
@@ -169,9 +163,6 @@ def cmd_gain_variance(delta_grid, x_grid, model, distribution, out):
             else:
                 vs = quadratic.var_gain_quadratic(d, xs)
             rows.extend([d, x, float(v)] for x, v in zip(xs, vs))
-        return rows
-
-    rows = _usage_guard(body)
     emit_table(["delta", "x", "n_var_gain"], rows, out)
 
 
@@ -186,16 +177,13 @@ def cmd_gain_variance(delta_grid, x_grid, model, distribution, out):
 @_out_option
 def cmd_optimal_delta(beta3, lam, beta0, n, out):
     """Window width maximizing gain plus lam times precision."""
-
-    def body():
+    with _exit_codes():
         d = twoline.optimal_delta(beta3, lam)
-        return [[beta3, lam, beta0, d,
+        rows = [[beta3, lam, beta0, d,
                  twoline.gain(d, beta3, beta0),
                  twoline.precision(d),
                  twoline.value(d, beta3, lam, beta0),
                  twoline.experimentation_cost(d, beta3, n)]]
-
-    rows = _usage_guard(body)
     emit_table(["beta3", "lam", "beta0", "delta_star", "gain", "precision",
                 "value", "experimentation_cost"], rows, out)
 
@@ -210,20 +198,10 @@ def cmd_optimal_delta(beta3, lam, beta0, n, out):
 @_out_option
 def cmd_noncentral(a, b, p, full, out):
     """Scaled covariance for randomization on an off-centre window."""
-
-    def body():
+    with _exit_codes():
         cov = twoline.noncentral_covariance(a, b, p, full=full)
-        rows = []
-        for i, li in enumerate(cov.labels):
-            for j, lj in enumerate(cov.labels):
-                rows.append([li, lj, float(cov.matrix[i, j])])
-        return rows
-
-    try:
-        rows = _usage_guard(body)
-    except DegenerateDesignError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+    rows = [[li, lj, float(cov.matrix[i, j])]
+            for i, li in enumerate(cov.labels) for j, lj in enumerate(cov.labels)]
     emit_table(["coef_i", "coef_j", "n_cov"], rows, out)
 
 
@@ -249,17 +227,10 @@ def cmd_search(features_path, add_intercept, thetas, delta_grid, ps,
     deltas = parse_grid(delta_grid, "--delta-grid")
     theta_vecs = [parse_vector(t, "--theta") for t in thetas]
     contrast_vec = None if contrast is None else parse_vector(contrast, "--contrast")
-
-    def body():
+    with _exit_codes():
         fm = FeatureMatrix.from_csv(features_path, add_intercept=add_intercept)
-        return design_search(fm, theta_vecs, deltas, ps=ps,
-                             criterion=criterion, contrast=contrast_vec)
-
-    try:
-        results = _usage_guard(body)
-    except NoFeasibleDesignError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+        results = design_search(fm, theta_vecs, deltas, ps=ps,
+                                criterion=criterion, contrast=contrast_vec)
     rows = []
     for rank, res in enumerate(results, start=1):
         rule = res.evaluation.rule
@@ -309,8 +280,7 @@ def cmd_simulate(model, distribution, delta, p, a, b, epsilon, scale_path,
     if len(picked) > 1:
         raise click.UsageError(
             "at most one of --a/--b, --scale, --epsilon may be given")
-
-    def body():
+    with _exit_codes():
         if scale_path is not None:
             rule = SlidingScale.from_csv(scale_path)
         elif a is not None:
@@ -319,18 +289,9 @@ def cmd_simulate(model, distribution, delta, p, a, b, epsilon, scale_path,
             rule = ThreeLevelRule(delta, epsilon)
         else:
             rule = TieBreaker(delta, p)
-        config = mc.SimConfig(rule=rule, model=model,
-                              distribution=_distribution(distribution),
-                              n=n, reps=reps, seed=seed, sigma=sigma,
-                              scheme=scheme)
-        return mc.run_simulation(config)
-
-    try:
-        report = _usage_guard(body)
-    except DegenerateDesignError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-
+        report = mc.run_simulation(mc.SimConfig(
+            rule=rule, model=model, distribution=AssignmentDistribution(distribution),
+            n=n, reps=reps, seed=seed, sigma=sigma, scheme=scheme))
     if out == "json":
         click.echo(json.dumps(report.to_dict(), indent=2))
     else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import statistics
 import string
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ class AssignmentDistribution:
         Uniform ranks use the equispaced grid x_i = (2i - n - 1)/n, the
         Gaussian case the quantile midpoints Phi^-1((i - 1/2)/n).
         """
-        if n < 1:
+        if not isinstance(n, numbers.Integral) or n < 1:
             raise DomainError("n must be a positive integer")
         if self.kind == UNIFORM_RANK:
             return (2.0 * np.arange(1, n + 1) - n - 1) / n
@@ -245,16 +246,13 @@ class SlidingScale:
     """
 
     def __init__(self, func: Callable[[np.ndarray], np.ndarray],
-                 breakpoints: Sequence[float] = (),
-                 table: tuple[np.ndarray, np.ndarray] | None = None):
+                 breakpoints: Sequence[float] = ()):
         self._func = func
         self._breakpoints = tuple(sorted(float(b) for b in breakpoints))
-        self._table = table
-        # from_table has checked that a table's knots are finite and its p
-        # values lie in [0, 1]; linear interpolation with constant
-        # extension stays within [min p, max p], so the probe cannot fail.
-        if table is None:
-            self._validate_range()
+        if not all(map(math.isfinite, self._breakpoints)):
+            raise DomainError("scale breakpoints must be finite")
+        self._table = None
+        self._validate_range()
 
     def _validate_range(self):
         probe = np.union1d(np.linspace(-1.0, 1.0, 257),
@@ -294,7 +292,14 @@ class SlidingScale:
         ps = ps.copy()
         xs.setflags(write=False)
         ps.setflags(write=False)
-        return cls(lambda t: np.interp(t, xs, ps), breakpoints=xs, table=(xs, ps))
+        # The knots are finite and the p values in [0, 1]; linear
+        # interpolation with constant extension stays within [min p, max p],
+        # so the range probe of the public constructor cannot fail.
+        scale = object.__new__(cls)
+        scale._func = lambda t: np.interp(t, xs, ps)
+        scale._breakpoints = tuple(xs.tolist())
+        scale._table = (xs, ps)
+        return scale
 
     @classmethod
     def from_csv(cls, path) -> "SlidingScale":
@@ -380,9 +385,11 @@ def treatment_probability(x, rule: DesignRule,
     (plus or minus delta on the rank scale, quantiles of the Gaussian).
     IntervalRule and ScoreThresholdRule windows are literal x thresholds.
     A SlidingScale is defined on the rank scale [-1, 1], so applying one
-    to standard-gaussian scores raises DomainError.
+    to standard-gaussian scores raises DomainError, as does a non-finite x.
     """
     arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("x must be finite")
     if isinstance(rule, SlidingScale):
         if distribution is not None and distribution.kind == STANDARD_GAUSSIAN:
             raise DomainError("a sliding scale is defined on the rank scale "

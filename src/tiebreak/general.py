@@ -43,6 +43,9 @@ class FeatureMatrix:
             raise DomainError("need one name per feature column")
         if not np.all(np.isfinite(vals)):
             raise DomainError("features must all be finite")
+        if not np.all(vals[:, 0] == 1.0):
+            raise DomainError("first feature column must be an all-ones "
+                              "intercept (or pass add_intercept=True)")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -61,15 +64,11 @@ class FeatureMatrix:
                    add_intercept: bool = False) -> "FeatureMatrix":
         vals = np.atleast_2d(np.asarray(values, dtype=float))
         if add_intercept:
-            vals = np.hstack([np.ones((vals.shape[0], 1)), vals])
+            vals = np.insert(vals, 0, 1.0, axis=-1)
             names = ("intercept",) + tuple(names) if names else None
         if names is None:
             names = ("intercept",) + tuple(f"f{j}" for j in range(1, vals.shape[1]))
-        fm = cls(tuple(names), vals)
-        if not np.all(fm.values[:, 0] == 1.0):
-            raise DomainError("first feature column must be an all-ones "
-                              "intercept (or pass add_intercept=True)")
-        return fm
+        return cls(tuple(names), vals)
 
     @classmethod
     def from_csv(cls, path, add_intercept: bool = False) -> "FeatureMatrix":
@@ -79,12 +78,13 @@ class FeatureMatrix:
 
 
 def _feature_values(features) -> np.ndarray:
+    """The values of a FeatureMatrix, or of a raw 2-d array after the same
+    checks, intercept column included."""
     if isinstance(features, FeatureMatrix):
         return features.values
-    vals = np.ascontiguousarray(features, dtype=float)
-    if vals.ndim != 2:
+    if np.ndim(features) != 2:
         raise DomainError("features must form a 2-d array")
-    return vals
+    return FeatureMatrix.from_array(features).values
 
 
 def _scores(vals: np.ndarray, thetas) -> np.ndarray:
@@ -210,15 +210,6 @@ class DesignEvaluation:
             raise DomainError(f"design is infeasible: {self.reason}")
         return self.var_interaction
 
-    def trace(self) -> float:
-        return self.criterion_value("trace")
-
-    def log_det(self) -> float:
-        return self.criterion_value("log-det")
-
-    def contrast_variance(self, contrast: Sequence[float]) -> float:
-        return self.criterion_value("contrast", contrast)
-
     def criterion_value(self, criterion: str,
                         contrast: Sequence[float] | None = None) -> float:
         return float(_criterion(self._require_feasible(), criterion, contrast))
@@ -239,6 +230,8 @@ def _criterion(var: np.ndarray, criterion: str, contrast=None):
         c = np.asarray(contrast, dtype=float)
         if c.shape != (var.shape[-1],):
             raise DomainError(f"contrast must have {var.shape[-1]} entries")
+        if not np.isfinite(c).all():
+            raise DomainError("contrast must be finite")
         return c @ var @ c
     raise DomainError(f"unknown criterion {criterion!r}; "
                       f"choose from {', '.join(CRITERIA)}")

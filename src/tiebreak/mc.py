@@ -135,23 +135,24 @@ def _fit_stacked(gram: np.ndarray, bz: np.ndarray, cf: np.ndarray, cz: np.ndarra
     return coefs, reasons
 
 
-def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray,
-            gram: np.ndarray | None = None) -> np.ndarray:
+def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of the joint fit, in natural order.
 
     The regressors are [F | zF]; because z^2 = 1 both diagonal Gram
     blocks equal A = F'F, so only the cross block B depends on the
-    replicate. Pass gram=F'F to amortize it. This is the one-replicate
-    case of the Monte Carlo's stacked fit: the statistics F'(zF), F'y
-    and (zF)'y go through the same Schur inverse, and a design it
-    rejects raises RankDeficientError.
+    replicate. This is the one-replicate case of the Monte Carlo's
+    stacked fit: the statistics F'(zF), F'y and (zF)'y go through the
+    same Schur inverse, and a design it rejects raises RankDeficientError.
     """
     f = np.ascontiguousarray(features, dtype=float)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
+    if f.ndim != 2 or not z.shape == y.shape == (len(f),) or not (
+            np.isfinite(f).all() and np.isfinite(y).all() and np.all(np.abs(z) == 1.0)):
+        raise DomainError("need an n x d finite feature array, n arms of +1 or -1 "
+                          "and n finite outcomes")
     stats = _reduce(_products(f), f, z, y)
-    coefs, reasons = _fit_stacked(f.T @ f if gram is None else gram,
-                                  *(s[None] for s in stats))
+    coefs, reasons = _fit_stacked(f.T @ f, *(s[None] for s in stats))
     if reasons[0] is not None:
         raise RankDeficientError(reasons[0])
     return coefs[0]
@@ -162,7 +163,9 @@ def empirical_covariance(coefs: np.ndarray, n: int) -> np.ndarray:
     coefs = np.asarray(coefs, dtype=float)
     if coefs.ndim != 2 or coefs.shape[0] < 2:
         raise DomainError("need at least two replicates of coefficients")
-    return n * np.cov(coefs, rowvar=False, ddof=1)
+    if not (np.isfinite(coefs).all() and np.isfinite(n) and n > 0):
+        raise DomainError("coefficients must be finite and n positive")
+    return n * np.atleast_2d(np.cov(coefs, rowvar=False, ddof=1))
 
 
 @dataclass(frozen=True)
@@ -313,16 +316,13 @@ def _replicate_fits(config: SimConfig):
     return coefs, np.array([r is not None for r in reasons])
 
 
-def run_simulation(config: SimConfig,
-                   reference: CoefCovariance | None = None) -> SimReport:
-    """Run the replicates and compare against the closed form.
+def run_simulation(config: SimConfig) -> SimReport:
+    """Run the replicates and compare against closed_form_reference.
 
-    reference overrides the automatic closed_form_reference lookup.
     Replicates whose realized design is rank deficient are dropped, and
     more than 1% of them marks the design itself degenerate.
     """
-    if reference is None:
-        reference = closed_form_reference(config)
+    reference = closed_form_reference(config)
     labels = config.labels()
     coefs, bad = _replicate_fits(config)
     degenerate = int(np.count_nonzero(bad))

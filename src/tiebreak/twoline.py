@@ -92,23 +92,26 @@ def gain(delta, beta3, beta0: float = 0.0):
     """Expected per-subject benefit of assignment, b0 + b3 (1 - delta^2)/2.
 
     The b3 term is the payoff from giving treatment preferentially to
-    high scorers; widening the window erodes it. A non-finite b3 or b0
-    raises DomainError.
+    high scorers; widening the window erodes it. Broadcasts over its
+    arguments; a non-finite b3 or b0 raises DomainError.
     """
     delta = _check_delta(delta)
-    _check_finite(beta3, "beta3")
-    _check_finite(beta0, "beta0")
+    beta3 = _check_finite(beta3, "beta3")
+    beta0 = _check_finite(beta0, "beta0")
     out = beta0 + beta3 * central_zx_mean(delta)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def experimentation_cost(delta, beta3, n: float = 1.0):
     """Shortfall of a width-delta window against the sharp cut-off, summed
-    over n subjects: n b3 delta^2 / 2. A non-finite b3 or n raises
+    over n subjects: n b3 delta^2 / 2. Broadcasts over its arguments; a
+    non-finite b3, or an n that is not finite and positive, raises
     DomainError."""
     delta = _check_delta(delta)
-    _check_finite(beta3, "beta3")
-    _check_finite(n, "n")
+    beta3 = _check_finite(beta3, "beta3")
+    n = _check_finite(n, "n")
+    if np.any(n <= 0.0):
+        raise DomainError("the cohort size n must be positive")
     out = n * beta3 * delta * delta / 2.0
     return float(out) if np.ndim(out) == 0 else out
 
@@ -126,9 +129,9 @@ def precision(delta):
 
 def value(delta, beta3, lam, beta0: float = 0.0):
     """Gain plus lam times precision, the objective traded off by delta.
-    A non-finite lam raises DomainError."""
-    _check_finite(lam, "lam")
-    if lam < 0.0:
+    Broadcasts over its arguments; a non-finite lam raises DomainError."""
+    lam = _check_finite(lam, "lam")
+    if np.any(lam < 0.0):
         raise DomainError("the precision weight lam must be non-negative")
     out = gain(delta, beta3, beta0) + lam * precision(delta)
     return float(out) if np.ndim(out) == 0 else out

@@ -167,6 +167,13 @@ class TestOptimalDelta:
         assert result.exit_code == 2
         assert "n must be finite" in result.output
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_n_exits_2(self, runner, n):
+        result = runner.invoke(main, ["optimal-delta", "--beta3", "1",
+                                      "--lam", "2", "--n", n])
+        assert result.exit_code == 2
+        assert "cohort size n must be positive" in result.output
+
 
 class TestNoncentral:
 

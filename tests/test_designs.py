@@ -64,6 +64,10 @@ def test_gaussian_distribution():
     assert dist.points(1)[0] == 0.0
     with pytest.raises(DomainError):
         dist.points(0)
+    assert dist.points(np.int64(3)).tobytes() == dist.points(3).tobytes()
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(DomainError, match="positive integer"):
+            dist.points(bad)
     for bad in (-0.1, 1.1, np.nan):
         with pytest.raises(DomainError):
             dist.central_window(bad)
@@ -204,6 +208,12 @@ def test_sliding_scale_from_rule_step_values():
 def test_sliding_scale_from_callable_range_check():
     with pytest.raises(DomainError):
         SlidingScale.from_callable(lambda x: 1.0 + x * x)
+    with pytest.raises(DomainError):
+        SlidingScale(lambda x: np.full_like(x, 2.0))
+    # A table scale comes only from from_table, which checks its knots.
+    xs, ps = np.array([-1.0, 1.0]), np.array([2.0, 2.0])
+    with pytest.raises(TypeError):
+        SlidingScale(lambda x: np.interp(x, xs, ps), xs, table=(xs, ps))
     scale = SlidingScale.from_callable(lambda x: 0.5 * (1 + np.tanh(2 * x)))
     assert 0.0 < scale(-0.3) < 0.5 < scale(0.3) < 1.0
 

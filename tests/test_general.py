@@ -91,6 +91,8 @@ def test_feature_matrix_validation():
         FeatureMatrix(("a",), np.array([[1.0, 2.0]]))
     with pytest.raises(DomainError):
         FeatureMatrix(("a", "b"), np.array([[1.0, np.inf]]))
+    with pytest.raises(DomainError, match="all-ones intercept"):
+        FeatureMatrix(("a", "b"), np.array([[1.0, 0.5], [2.0, -0.5]]))
     fm = random_features(np.random.default_rng(0), 10, 3)
     with pytest.raises(ValueError):
         fm.values[0, 0] = 2.0  # locked
@@ -171,7 +173,7 @@ def test_infeasible_reasons():
     assert not all_control.feasible
     assert "no treated" in all_control.reason
     with pytest.raises(DomainError):
-        all_control.trace()
+        all_control.criterion_value("trace")
 
     # Duplicated column: the feature Gram itself collapses.
     dup = FeatureMatrix(("intercept", "copy"), np.ones((20, 2)))
@@ -265,7 +267,7 @@ def test_design_search_ranking():
     assert best.delta == 1.0
     # Every value matches its evaluation
     for r in results:
-        assert r.value == pytest.approx(r.evaluation.trace())
+        assert r.value == pytest.approx(r.evaluation.criterion_value("trace"))
 
 
 def test_design_search_criteria():
@@ -278,7 +280,7 @@ def test_design_search_criteria():
                              contrast=(0.0, 1.0))
     for r in contrast:
         assert r.value == pytest.approx(
-            r.evaluation.contrast_variance((0.0, 1.0)))
+            r.evaluation.criterion_value("contrast", (0.0, 1.0)))
     with pytest.raises(DomainError):
         design_search(fm, thetas, [0.5], criterion="contrast")
     with pytest.raises(DomainError):
@@ -409,7 +411,7 @@ def test_design_search_matches_brute_force(search):
     results = design_search(vals, thetas, grid, ps)
     assert {(r.theta_index, r.delta_index, r.p_index) for r in results} == feasible
     for r in results:
-        assert r.value == r.evaluation.trace()
+        assert r.value == r.evaluation.criterion_value("trace")
         assert r.evaluation.rule == ScoreThresholdRule(
             thetas[r.theta_index], grid[r.delta_index], ps[r.p_index])
     assert [(r.value, r.theta_index, r.delta_index, r.p_index) for r in results] == \
@@ -512,6 +514,24 @@ def test_design_search_raises_for_its_first_bad_candidate(thetas, deltas, ps):
     if not (thetas and deltas and ps):
         with pytest.raises(NoFeasibleDesignError, match="among 0 candidates$"):
             design_search(features, thetas, deltas, ps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: design_search(f, [(0.0, 1.0)], [0.5]),
+    lambda f: evaluate_design(f, ScoreThresholdRule((0.0, 1.0), 0.5)),
+    lambda f: expected_weights(f, ScoreThresholdRule((0.0, 1.0), 0.5)),
+    fully_randomized_covariance,
+])
+def test_raw_arrays_get_the_feature_matrix_checks(call):
+    x = np.linspace(-1.0, 1.0, 12)
+    with pytest.raises(DomainError, match="all-ones intercept"):
+        call(np.column_stack([x, x * x]))
+    nan = np.column_stack([np.ones(12), x])
+    nan[3, 1] = np.nan
+    with pytest.raises(DomainError, match="^features must all be finite$"):
+        call(nan)
+    with pytest.raises(DomainError, match="^features must form a 2-d array$"):
+        call(np.ones((2, 3, 2)))
 
 
 def test_array_holding_results_compare_by_identity():

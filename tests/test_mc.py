@@ -112,13 +112,6 @@ class TestOlsFit:
             want = want[list(mc._QUADRATIC_FIT_TO_NATURAL)]
         np.testing.assert_allclose(coef, want, rtol=1e-9, atol=1e-11)
 
-    def test_precomputed_gram_changes_nothing(self):
-        rng = np.random.default_rng(12)
-        f, z, y = self._draw(rng, 300, mc.TWOLINE)
-        a = mc.ols_fit(f, z, y)
-        b = mc.ols_fit(f, z, y, gram=f.T @ f)
-        np.testing.assert_array_equal(a, b)
-
     def test_exact_recovery_orders_quadratic_coefficients(self):
         # Noiseless outcomes pin the permutation from the grouped solve
         # back to (b0, b1, b2, b3, b4, b5).
@@ -318,11 +311,12 @@ class TestRunSimulation:
         with pytest.raises(DegenerateDesignError):
             mc.run_simulation(config)
 
-    def test_reference_override_flags_disagreement(self):
+    def test_reference_override_flags_disagreement(self, monkeypatch):
         config = mc.SimConfig(rule=TieBreaker(0.5), n=1000, reps=300, seed=4)
         honest = mc.closed_form_reference(config)
         wrong = CoefCovariance(honest.labels, honest.matrix * 3.0)
-        report = mc.run_simulation(config, reference=wrong)
+        monkeypatch.setattr(mc, "closed_form_reference", lambda config: wrong)
+        report = mc.run_simulation(config)
         assert report.max_dev_se > 4.0
 
     def test_quadratic_run_recovers_true_coefficients(self):

@@ -115,6 +115,24 @@ def test_gain_and_cost():
         lost = gain(0.0, 1.7, beta0=0.5) - gain(d, 1.7, beta0=0.5)
         assert experimentation_cost(d, 1.7) == pytest.approx(lost, abs=1e-14)
     assert experimentation_cost(0.5, 1.0, n=1000) == pytest.approx(125.0)
+    for n in (0.0, -5.0, [10.0, -1.0]):
+        with pytest.raises(DomainError, match="cohort size n must be positive"):
+            experimentation_cost(0.5, 1.0, n)
+
+
+@pytest.mark.parametrize("call", [gain, experimentation_cost, value,
+                                  lambda d, b0, lam: value(d, 0.8, lam, beta0=b0)])
+def test_objective_parts_broadcast_like_scalar_calls(call):
+    # The third argument is beta0, n or lam, so it stays positive; the
+    # second is beta3, or beta0 in the last case.
+    deltas, beta3s, thirds = [0.0, 0.3, 1.0], [1.7, -0.4, 0.0], [0.5, 3.0, 2.0]
+    want = [call(*args) for args in zip(deltas, beta3s, thirds)]
+    for pick in (list, np.array):
+        got = call(pick(deltas), pick(beta3s), pick(thirds))
+        assert isinstance(got, np.ndarray) and got.tolist() == want
+        # One sequence argument against scalars broadcasts as well.
+        assert call(deltas[1], pick(beta3s), thirds[1]).tolist() == \
+            [call(deltas[1], b3, thirds[1]) for b3 in beta3s]
 
 
 @pytest.mark.parametrize("call, name", [
