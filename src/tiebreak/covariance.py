@@ -29,11 +29,11 @@ QUADRATIC = "quadratic"
 TWOLINE_LABELS = ("beta0", "beta1", "beta2", "beta3")
 QUADRATIC_LABELS = ("beta0", "beta1", "beta2", "beta3", "beta4", "beta5")
 
-# The joint fit solves for the baseline coefficients first and the arm
-# interactions second; this maps the quadratic fit order
-# (b0, b1, b4, b2, b3, b5) back to natural order.
-_QUADRATIC_FIT_TO_NATURAL = (0, 1, 3, 4, 2, 5)
-_QUADRATIC_PERMUTATION = np.ix_(_QUADRATIC_FIT_TO_NATURAL, _QUADRATIC_FIT_TO_NATURAL)
+# Each model's labels, in natural order, and the permutation from the
+# joint fit's regressor order [F | zF] to natural order, None where the
+# two agree: the quadratic fit solves for (b0, b1, b4, b2, b3, b5).
+_MODELS = {TWOLINE: (TWOLINE_LABELS, None),
+           QUADRATIC: (QUADRATIC_LABELS, (0, 1, 3, 4, 2, 5))}
 
 # Hankel index of the largest model: entry (i, j) of A and B is the
 # moment of order i + j; a model with d baseline terms takes [:d, :d].
@@ -142,12 +142,12 @@ class CoefCovariance:
         }
 
 
-def model_labels(model: str) -> tuple[str, ...]:
-    if model == TWOLINE:
-        return TWOLINE_LABELS
-    if model == QUADRATIC:
-        return QUADRATIC_LABELS
-    raise DomainError(f"unknown model {model!r}")
+def model_spec(model: str) -> tuple[tuple[str, ...], tuple[int, ...] | None]:
+    """(labels, fit-to-natural permutation or None) of a model."""
+    try:
+        return _MODELS[model]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown model {model!r}") from None
 
 
 def schur_inverse(a: np.ndarray, b: np.ndarray):
@@ -237,7 +237,7 @@ def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovaria
     past 2 * degree (the extra terms are unused); the result is in
     natural label order.
     """
-    labels = model_labels(model)
+    labels, order = model_spec(model)
     d = len(labels) // 2
     idx = _HANKEL[:d, :d]
     var, cross = schur_inverse(_MOMENT_SCALE * np.asarray(x_moments, dtype=float)[idx],
@@ -246,8 +246,8 @@ def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovaria
     full[:d, :d] = full[d:, d:] = _MOMENT_SCALE * var
     full[:d, d:] = _MOMENT_SCALE * cross
     full[d:, :d] = full[:d, d:].T
-    if model == QUADRATIC:
-        full = full[_QUADRATIC_PERMUTATION]
+    if order is not None:
+        full = full[np.ix_(order, order)]
     # var is symmetrized by schur_inverse and the cross blocks are each
     # other's transposes, so full is exactly symmetric.
     return CoefCovariance._trusted(labels, full)

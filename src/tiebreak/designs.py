@@ -31,6 +31,14 @@ STANDARD_GAUSSIAN = "standard-gaussian"
 _GAUSSIAN = statistics.NormalDist()
 
 
+def _check_finite(value, name: str) -> np.ndarray:
+    """value as an array, refused unless every entry is finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
 def rank_transform(scores: Sequence[float]) -> np.ndarray:
     """Equispaced rank values for N scores, sorted ascending.
 
@@ -121,8 +129,7 @@ class TieBreaker:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise DomainError("delta must lie in [0, 1]")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError("p must lie strictly inside (0, 1)")
+        _check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,7 @@ class IntervalRule:
     def __post_init__(self):
         if not (-1.0 <= self.a <= self.b <= 1.0):
             raise DomainError("window must satisfy -1 <= a <= b <= 1")
-        if not 0.0 < self.p < 1.0:
-            raise DomainError("p must lie strictly inside (0, 1)")
+        _check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,10 @@ class ThreeLevelRule:
             raise DomainError("epsilon must lie in [0, 1/2)")
 
 
+# The window rules: deterministic arms outside a window, a coin inside.
+WINDOW_RULES = (TieBreaker, IntervalRule, ThreeLevelRule)
+
+
 @dataclass(frozen=True)
 class ScoreThresholdRule:
     """Tie-breaker on a linear score: randomize where |theta . F| < delta.
@@ -174,7 +184,7 @@ class ScoreThresholdRule:
     def __post_init__(self):
         theta = _score_theta(self.theta)
         _score_delta(self.delta)
-        _score_p(self.p)
+        _check_p(self.p)
         object.__setattr__(self, "theta", theta)
 
     @classmethod
@@ -207,7 +217,7 @@ def _score_delta(delta):
     return delta
 
 
-def _score_p(p):
+def _check_p(p):
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie strictly inside (0, 1)")
     return p
@@ -230,7 +240,7 @@ def _score_rule_axes(thetas, deltas, ps):
     if not ps:
         return [], [], []
     first = ScoreThresholdRule(tuple(thetas[0]), float(deltas[0]), float(ps[0]))
-    ps = [first.p] + [_score_p(float(p)) for p in ps[1:]]
+    ps = [first.p] + [_check_p(float(p)) for p in ps[1:]]
     deltas = [first.delta] + [_score_delta(float(d)) for d in deltas[1:]]
     thetas = [first.theta] + [_score_theta(tuple(t)) for t in thetas[1:]]
     return thetas, deltas, ps
@@ -313,13 +323,13 @@ class SlidingScale:
     @classmethod
     def from_rule(cls, rule) -> "SlidingScale":
         """Express a window rule as its (step) probability scale."""
-        if not isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
+        if not isinstance(rule, WINDOW_RULES):
             raise DomainError(f"cannot express {type(rule).__name__} as a scale")
         levels = _step_levels(rule)
         return cls(lambda x: _step(x, *levels), breakpoints=levels[:2])
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
+        arr = _check_finite(x, "x")
         out = np.asarray(self._func(arr), dtype=float)
         return float(out) if arr.ndim == 0 else out
 
@@ -330,27 +340,6 @@ class SlidingScale:
     @property
     def table(self) -> tuple[np.ndarray, np.ndarray] | None:
         return self._table
-
-    def symmetrized(self) -> "SlidingScale":
-        """The symmetric scale (p(x) + 1 - p(-x))/2.
-
-        Satisfies p(x) + p(-x) = 1 pointwise, which zeroes the even moment
-        of the allocation while preserving its mean and its x moment. For
-        a tabulated scale the result is again a table, on the union of the
-        knots and their reflections, and the identity is exact under
-        linear interpolation.
-        """
-        if self._table is not None:
-            xs, _ = self._table
-            knots = np.union1d(xs, -xs)
-            vals = 0.5 * (self(knots) + 1.0 - self(-knots))
-            return SlidingScale.from_table(knots, np.clip(vals, 0.0, 1.0))
-        func = self._func
-        mirrored = tuple(-b for b in self._breakpoints)
-        return SlidingScale(
-            lambda x: 0.5 * (np.asarray(func(np.asarray(x, dtype=float)), dtype=float)
-                             + 1.0 - np.asarray(func(-np.asarray(x, dtype=float)), dtype=float)),
-            breakpoints=self._breakpoints + mirrored)
 
 
 DesignRule = Union[TieBreaker, IntervalRule, ThreeLevelRule, SlidingScale, ScoreThresholdRule]
@@ -387,9 +376,7 @@ def treatment_probability(x, rule: DesignRule,
     A SlidingScale is defined on the rank scale [-1, 1], so applying one
     to standard-gaussian scores raises DomainError, as does a non-finite x.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError("x must be finite")
+    arr = _check_finite(x, "x")
     if isinstance(rule, SlidingScale):
         if distribution is not None and distribution.kind == STANDARD_GAUSSIAN:
             raise DomainError("a sliding scale is defined on the rank scale "

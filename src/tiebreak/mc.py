@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import (QUADRATIC, TWOLINE, _QUADRATIC_FIT_TO_NATURAL,
-                         CoefCovariance, design_covariance, model_labels, schur_inverse)
-from .designs import (AssignmentDistribution, DesignRule, IntervalRule,
-                      SlidingScale, ThreeLevelRule, TieBreaker,
-                      treatment_probability)
+# mc.TWOLINE and mc.QUADRATIC name the models for the CLI and other callers.
+from .covariance import (QUADRATIC, TWOLINE, CoefCovariance, design_covariance,
+                         model_spec, schur_inverse)
+from .designs import (WINDOW_RULES, AssignmentDistribution, DesignRule,
+                      SlidingScale, treatment_probability)
 from .errors import (DegenerateDesignError, DomainError, RankDeficientError)
 
 SIMPLE_RANDOM = "simple-random"
@@ -42,12 +42,8 @@ _FIT_BLOCK = 1024
 
 def design_matrix(x: np.ndarray, model: str = TWOLINE) -> np.ndarray:
     """Baseline regressors per subject: [1, x] or [1, x, x^2]."""
-    x = np.asarray(x, dtype=float)
-    if model == TWOLINE:
-        return np.column_stack([np.ones_like(x), x])
-    if model == QUADRATIC:
-        return np.column_stack([np.ones_like(x), x, x * x])
-    raise DomainError(f"unknown model {model!r}")
+    width = len(model_spec(model)[0]) // 2
+    return np.vander(np.asarray(x, dtype=float), width, increasing=True)
 
 
 def _arm_probabilities(x: np.ndarray, rule: DesignRule,
@@ -55,12 +51,10 @@ def _arm_probabilities(x: np.ndarray, rule: DesignRule,
                        scheme: str) -> np.ndarray:
     """Pr(z = +1 | x), checked against the assignment scheme."""
     probs = np.asarray(treatment_probability(x, rule, distribution), dtype=float)
-    if scheme == STRATIFIED_PAIRS:
-        if not np.all((probs == 0.5) | (probs == 0.0) | (probs == 1.0)):
-            raise DomainError("stratified pairing needs arm probabilities of "
-                              "exactly 0, 1/2, or 1")
-    elif scheme != SIMPLE_RANDOM:
-        raise DomainError(f"unknown assignment scheme {scheme!r}")
+    if scheme == STRATIFIED_PAIRS and not np.all(
+            (probs == 0.5) | (probs == 0.0) | (probs == 1.0)):
+        raise DomainError("stratified pairing needs arm probabilities of "
+                          "exactly 0, 1/2, or 1")
     return probs
 
 
@@ -95,9 +89,9 @@ def _draw_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.n
     return z
 
 
-def _draw_outcomes(rng: np.random.Generator, m1: np.ndarray, m2: np.ndarray,
-                   z: np.ndarray, sigma: float) -> np.ndarray:
-    return m1 + z * m2 + sigma * rng.standard_normal(m1.size)
+def _draw_outcomes(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
+    """The outcomes of a model whose true coefficients are all zero: noise."""
+    return sigma * rng.standard_normal(n)
 
 
 def _products(features: np.ndarray) -> np.ndarray:
@@ -111,7 +105,8 @@ def _reduce(products: np.ndarray, features: np.ndarray, z: np.ndarray, y: np.nda
 
 
 def _fit_stacked(gram: np.ndarray, bz: np.ndarray, cf: np.ndarray, cz: np.ndarray):
-    """Joint least-squares coefficients of stacked replicates, in natural order.
+    """Joint least-squares coefficients of stacked replicates, in regressor
+    order [F | zF].
 
     Row r of bz, cf and cz holds replicate r's statistics from _reduce;
     gram = F'F is shared. Each block of _FIT_BLOCK replicates makes one
@@ -130,15 +125,14 @@ def _fit_stacked(gram: np.ndarray, bz: np.ndarray, cf: np.ndarray, cz: np.ndarra
         coefs[rows, :d] = (var @ rhs_f + cross @ rhs_z)[:, :, 0]
         coefs[rows, d:] = (cross.transpose(0, 2, 1) @ rhs_f + var @ rhs_z)[:, :, 0]
         reasons += why
-    if d == 3:
-        coefs = coefs[:, _QUADRATIC_FIT_TO_NATURAL]
     return coefs, reasons
 
 
 def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of the joint fit, in natural order.
+    """Least-squares coefficients of the joint fit, in regressor order.
 
-    The regressors are [F | zF]; because z^2 = 1 both diagonal Gram
+    The regressors are [F | zF], and the coefficients come back in that
+    order, the d of F then the d of zF, whatever d is. Because z^2 = 1 both diagonal Gram
     blocks equal A = F'F, so only the cross block B depends on the
     replicate. This is the one-replicate case of the Monte Carlo's
     stacked fit: the statistics F'(zF), F'y and (zF)'y go through the
@@ -172,11 +166,11 @@ def empirical_covariance(coefs: np.ndarray, n: int) -> np.ndarray:
 class SimConfig:
     """One Monte Carlo run: a model, a design, and replication settings.
 
-    baseline and interaction are the true coefficient vectors of the
-    outcome model (zeros by default; the covariance of a linear fit does
-    not depend on them, which the defaults make plain). The rule assigns
-    on x, so a ScoreThresholdRule, which assigns on a feature score, is
-    refused.
+    The outcomes are pure noise: every true coefficient is zero. Least
+    squares is equivariant, so adding F b + z F g to the outcomes would
+    shift every fit by exactly (b, g), moving coef_mean by (b, g) and
+    leaving the covariance unchanged. The rule assigns on x, so a
+    ScoreThresholdRule, which assigns on a feature score, is refused.
     """
 
     rule: DesignRule
@@ -187,13 +181,10 @@ class SimConfig:
     reps: int = 2000
     seed: int = 0
     sigma: float = 1.0
-    baseline: tuple[float, ...] | None = None
-    interaction: tuple[float, ...] | None = None
     scheme: str = SIMPLE_RANDOM
 
     def __post_init__(self):
-        if not isinstance(self.rule, (TieBreaker, IntervalRule, ThreeLevelRule,
-                                      SlidingScale)):
+        if not isinstance(self.rule, WINDOW_RULES + (SlidingScale,)):
             raise DomainError(f"cannot simulate a {type(self.rule).__name__}: "
                               "the simulator assigns arms on x")
         for name in ("n", "reps", "seed"):
@@ -201,8 +192,7 @@ class SimConfig:
             if not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
-        if self.model not in (TWOLINE, QUADRATIC):
-            raise DomainError(f"unknown model {self.model!r}")
+        model_spec(self.model)
         if self.scheme not in (SIMPLE_RANDOM, STRATIFIED_PAIRS):
             raise DomainError(f"unknown assignment scheme {self.scheme!r}")
         if self.n < 4:
@@ -213,19 +203,9 @@ class SimConfig:
             raise DomainError("seed must be a non-negative 63-bit integer")
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError("sigma must be positive")
-        width = len(model_labels(self.model)) // 2
-        for name in ("baseline", "interaction"):
-            vec = getattr(self, name)
-            if vec is None:
-                object.__setattr__(self, name, (0.0,) * width)
-            else:
-                vec = tuple(float(v) for v in vec)
-                if len(vec) != width or not all(np.isfinite(vec)):
-                    raise DomainError(f"{name} must be {width} finite values")
-                object.__setattr__(self, name, vec)
 
     def labels(self) -> tuple[str, ...]:
-        return model_labels(self.model)
+        return model_spec(self.model)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +230,7 @@ class SimReport:
     def to_dict(self) -> dict:
         rule = self.config.rule
         rule_desc = {"type": type(rule).__name__}
-        if isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
+        if isinstance(rule, WINDOW_RULES):
             for key, val in vars(rule).items():
                 rule_desc[key] = val
         elif isinstance(rule, SlidingScale):
@@ -290,18 +270,18 @@ def closed_form_reference(config: SimConfig) -> CoefCovariance:
 
 
 def _replicate_fits(config: SimConfig):
-    """Every replicate's fitted coefficients and which ones were degenerate.
+    """Every replicate's fitted coefficients, in natural order, and which
+    ones were degenerate.
 
-    The loop only draws and reduces: the arm probabilities, the means
-    F b and F g and the products F_j F_l are fixed for the run, and each
-    replicate leaves three rows of sufficient statistics. The fit then
-    runs stacked, once per block of replicates. Degenerate rows are NaN.
+    The loop only draws and reduces: the arm probabilities and the
+    products F_j F_l are fixed for the run, and each replicate leaves
+    three rows of sufficient statistics. The fit then runs stacked, once
+    per block of replicates, and the model's permutation puts its
+    coefficients in natural order. Degenerate rows are NaN.
     """
     x = config.distribution.points(config.n)
     features = np.ascontiguousarray(design_matrix(x, config.model))
     probs = _arm_probabilities(x, config.rule, config.distribution, config.scheme)
-    m1 = features @ np.asarray(config.baseline)
-    m2 = features @ np.asarray(config.interaction)
     products = _products(features)
     d = features.shape[1]
     bz = np.empty((config.reps, d * d))
@@ -310,9 +290,12 @@ def _replicate_fits(config: SimConfig):
     for rep in range(config.reps):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
         z = _draw_arms(rng, probs, config.scheme)
-        y = _draw_outcomes(rng, m1, m2, z, config.sigma)
+        y = _draw_outcomes(rng, config.n, config.sigma)
         bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)
     coefs, reasons = _fit_stacked(features.T @ features, bz, cf, cz)
+    order = model_spec(config.model)[1]
+    if order is not None:
+        coefs = coefs[:, order]
     return coefs, np.array([r is not None for r in reasons])
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (AssignmentDistribution, IntervalRule, SlidingScale,
-                      STANDARD_GAUSSIAN, ThreeLevelRule, TieBreaker, UNIFORM_RANK,
-                      _step_levels)
+from .designs import (WINDOW_RULES, AssignmentDistribution, SlidingScale,
+                      STANDARD_GAUSSIAN, ThreeLevelRule, UNIFORM_RANK, _step_levels)
 from .errors import DomainError
 
 # Each segment between breakpoints is split into _GL_PANELS equal panels
@@ -57,19 +56,19 @@ def _check_delta(delta) -> np.ndarray:
     return arr
 
 
-def _check_finite(value, name: str) -> np.ndarray:
-    """value as an array, refused unless every entry is finite."""
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite")
-    return arr
+def _finite_result(out):
+    """out, as a float for 0-d input, refused unless every entry is
+    finite: finite arguments far outside the unit range can overflow."""
+    out = np.asarray(out)
+    if not np.isfinite(out).all():
+        raise DomainError("the result overflows the float range")
+    return float(out) if out.ndim == 0 else out
 
 
 def central_zx_mean(delta):
     """E[zx] for a symmetric central window of width delta: (1 - delta^2)/2."""
     delta = _check_delta(delta)
-    out = (1.0 - delta * delta) / 2.0
-    return float(out) if out.ndim == 0 else out
+    return _finite_result((1.0 - delta * delta) / 2.0)
 
 
 def gaussian_zx_mean(delta):
@@ -78,8 +77,7 @@ def gaussian_zx_mean(delta):
     delta = _check_delta(delta)
     gaussian = AssignmentDistribution.standard_gaussian()
     tau = np.array([gaussian.central_window(d)[1] for d in delta.ravel().tolist()])
-    out = (2.0 * np.exp(-0.5 * tau * tau) / _SQRT2PI).reshape(delta.shape)
-    return float(out) if out.ndim == 0 else out
+    return _finite_result((2.0 * np.exp(-0.5 * tau * tau) / _SQRT2PI).reshape(delta.shape))
 
 
 def _uniform_region(lo: float, hi: float) -> np.ndarray:
@@ -160,7 +158,7 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
             raise DomainError("a sliding scale is defined on the rank scale "
                               "[-1, 1] and has no moments on Gaussian scores")
         return _UNIFORM_FULL, _scale_w_moments(rule)
-    if not isinstance(rule, (TieBreaker, IntervalRule, ThreeLevelRule)):
+    if not isinstance(rule, WINDOW_RULES):
         raise DomainError(f"no moment formulas for {type(rule).__name__}")
     lo, hi, *levels = _step_levels(rule, dist)
     arms = [2.0 * level - 1.0 for level in levels]

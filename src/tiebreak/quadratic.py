@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .covariance import QUADRATIC, CoefCovariance, design_covariance
-from .designs import TieBreaker
-from .moments import _check_finite
+from .designs import TieBreaker, _check_finite
+from .moments import _finite_result
 
 
 def covariance_quadratic(delta: float) -> CoefCovariance:
@@ -24,12 +24,14 @@ def covariance_quadratic(delta: float) -> CoefCovariance:
 def var_gain_quadratic(delta: float, x) -> np.ndarray | float:
     """Scaled variance of the effect estimate 2(b2 + b3 x + b5 x^2),
     c' Sigma c with c = (0, 0, 2, 2x, 0, 2x^2), for every x at once; a
-    non-finite x raises DomainError."""
+    non-finite x, or one so large that the variance overflows, raises
+    DomainError."""
     cov = covariance_quadratic(delta).matrix
     x = _check_finite(x, "x")
     c = np.zeros(x.shape + (6,))
     c[..., 2] = 2.0
-    c[..., 3] = 2.0 * x
-    c[..., 5] = 2.0 * x * x
-    out = (c[..., None, :] @ cov @ c[..., :, None])[..., 0, 0]
-    return float(out) if x.ndim == 0 else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        c[..., 3] = 2.0 * x
+        c[..., 5] = 2.0 * x * x
+        out = (c[..., None, :] @ cov @ c[..., :, None])[..., 0, 0]
+    return _finite_result(out)

@@ -91,10 +91,19 @@ def symmetrize(scale: SlidingScale) -> SlidingScale:
     not a free lunch for every target: with p(x) = |x| the variance of
     b1 + b3 rises from 4 to 6, because the coupling the even moment
     induced happened to help that particular sum.
+
+    The result satisfies p(x) + p(-x) = 1 pointwise. A tabulated scale
+    gives a table again, on the union of its knots and their reflections,
+    where the identity is exact under linear interpolation.
     """
     if not isinstance(scale, SlidingScale):
         raise DomainError("symmetrize expects a SlidingScale")
-    return scale.symmetrized()
+    if scale.table is not None:
+        knots = np.union1d(scale.table[0], -scale.table[0])
+        vals = 0.5 * (scale(knots) + 1.0 - scale(-knots))
+        return SlidingScale.from_table(knots, np.clip(vals, 0.0, 1.0))
+    return SlidingScale(lambda x: 0.5 * (scale(x) + 1.0 - scale(-np.asarray(x, dtype=float))),
+                        breakpoints=scale.breakpoints + tuple(-b for b in scale.breakpoints))
 
 
 def equivalent_tiebreaker(scale: SlidingScale) -> float:

@@ -19,9 +19,9 @@ import numpy as np
 
 from .covariance import CoefCovariance, design_covariance
 from .designs import (UNIFORM_RANK, AssignmentDistribution, IntervalRule,
-                      TieBreaker)
+                      TieBreaker, _check_finite)
 from .errors import DomainError
-from .moments import (_check_delta, _check_finite, central_zx_mean,
+from .moments import (_check_delta, _finite_result, central_zx_mean,
                       gaussian_zx_mean)
 
 EFFECT_LABELS = ("beta2", "beta3")
@@ -63,17 +63,20 @@ def var_gain_at_x(delta, x, distribution: AssignmentDistribution | None = None):
 
     On the rank scale this is 16 (1 + 3 x^2) / (1 + 3 delta^2 (2 - delta^2));
     on the Gaussian scale 4 (1 + x^2) / (1 - f^2). Broadcasts over delta
-    and x; a non-finite x raises DomainError.
+    and x; a non-finite x, or one so large that the variance overflows,
+    raises DomainError.
     """
     delta = _check_delta(delta)
     x = _check_finite(x, "x")
     kind = (distribution or AssignmentDistribution.uniform_rank()).kind
-    if kind == UNIFORM_RANK:
-        out = 16.0 * (1.0 + 3.0 * x * x) / (1.0 + 3.0 * delta * delta * (2.0 - delta * delta))
-    else:
-        f = gaussian_zx_mean(delta)
-        out = 4.0 * (1.0 + x * x) / (1.0 - f * f)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):
+        if kind == UNIFORM_RANK:
+            out = (16.0 * (1.0 + 3.0 * x * x)
+                   / (1.0 + 3.0 * delta * delta * (2.0 - delta * delta)))
+        else:
+            f = gaussian_zx_mean(delta)
+            out = 4.0 * (1.0 + x * x) / (1.0 - f * f)
+    return _finite_result(out)
 
 
 def efficiency_vs_rdd(delta):
@@ -84,8 +87,7 @@ def efficiency_vs_rdd(delta):
     population already captures a factor 2.31.
     """
     delta = _check_delta(delta)
-    out = 1.0 + 3.0 * delta * delta * (2.0 - delta * delta)
-    return float(out) if out.ndim == 0 else out
+    return _finite_result(1.0 + 3.0 * delta * delta * (2.0 - delta * delta))
 
 
 def gain(delta, beta3, beta0: float = 0.0):
@@ -93,27 +95,28 @@ def gain(delta, beta3, beta0: float = 0.0):
 
     The b3 term is the payoff from giving treatment preferentially to
     high scorers; widening the window erodes it. Broadcasts over its
-    arguments; a non-finite b3 or b0 raises DomainError.
+    arguments; a non-finite b3 or b0, or a gain that overflows, raises
+    DomainError.
     """
     delta = _check_delta(delta)
     beta3 = _check_finite(beta3, "beta3")
     beta0 = _check_finite(beta0, "beta0")
-    out = beta0 + beta3 * central_zx_mean(delta)
-    return float(out) if np.ndim(out) == 0 else out
+    with np.errstate(over="ignore"):
+        return _finite_result(beta0 + beta3 * central_zx_mean(delta))
 
 
 def experimentation_cost(delta, beta3, n: float = 1.0):
     """Shortfall of a width-delta window against the sharp cut-off, summed
     over n subjects: n b3 delta^2 / 2. Broadcasts over its arguments; a
-    non-finite b3, or an n that is not finite and positive, raises
-    DomainError."""
+    non-finite b3, an n that is not finite and positive, or a cost that
+    overflows, raises DomainError."""
     delta = _check_delta(delta)
     beta3 = _check_finite(beta3, "beta3")
     n = _check_finite(n, "n")
     if np.any(n <= 0.0):
         raise DomainError("the cohort size n must be positive")
-    out = n * beta3 * delta * delta / 2.0
-    return float(out) if np.ndim(out) == 0 else out
+    with np.errstate(over="ignore"):
+        return _finite_result(n * beta3 * delta * delta / 2.0)
 
 
 def precision(delta):
@@ -123,18 +126,18 @@ def precision(delta):
     """
     delta = _check_delta(delta)
     f = central_zx_mean(delta)
-    out = 1.0 / 3.0 - f * f
-    return float(out) if np.ndim(out) == 0 else out
+    return _finite_result(1.0 / 3.0 - f * f)
 
 
 def value(delta, beta3, lam, beta0: float = 0.0):
     """Gain plus lam times precision, the objective traded off by delta.
-    Broadcasts over its arguments; a non-finite lam raises DomainError."""
+    Broadcasts over its arguments; a non-finite lam, or a value that
+    overflows, raises DomainError."""
     lam = _check_finite(lam, "lam")
     if np.any(lam < 0.0):
         raise DomainError("the precision weight lam must be non-negative")
-    out = gain(delta, beta3, beta0) + lam * precision(delta)
-    return float(out) if np.ndim(out) == 0 else out
+    with np.errstate(over="ignore"):
+        return _finite_result(gain(delta, beta3, beta0) + lam * precision(delta))
 
 
 def optimal_delta(beta3: float, lam: float) -> float:
@@ -148,7 +151,8 @@ def optimal_delta(beta3: float, lam: float) -> float:
         raise DomainError("beta3 must be finite")
     if not (np.isfinite(lam) and lam > 0.0):
         raise DomainError("the precision weight lam must be positive")
-    r = beta3 / lam
+    with np.errstate(over="ignore"):
+        r = beta3 / lam
     if r <= 0.0:
         return 1.0
     if r >= 1.0:

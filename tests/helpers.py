@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from tiebreak import mc
-from tiebreak.covariance import _QUADRATIC_FIT_TO_NATURAL, schur_inverse
+from tiebreak.covariance import model_spec, schur_inverse
 from tiebreak.designs import SlidingScale
 from tiebreak.errors import DegenerateDesignError
 
@@ -73,15 +73,16 @@ def loop_replicate_fits(config: mc.SimConfig):
     """The Monte Carlo replicate loop with one least-squares fit per replicate.
 
     Per replicate: the Philox stream keyed (seed, rep), the arm draw from
-    the rule's probabilities, then the noise draw, then the joint fit from
-    F'(zF), F'y and (zF)'y through a 2-D Schur inverse, a refused design
-    caught and marked. Returns the coefficients in natural order (NaN rows
-    where degenerate), the degenerate mask, and the condition number of
-    each realized Schur complement A - B A^-1 B.
+    the rule's probabilities, then the noise draw (the outcomes), then the
+    joint fit from F'(zF), F'y and (zF)'y through a 2-D Schur inverse, a
+    refused design caught and marked. Returns the coefficients in natural
+    order, by the model's permutation (NaN rows where degenerate), the
+    degenerate mask, and the condition number of each realized Schur
+    complement A - B A^-1 B.
     """
     x = config.distribution.points(config.n)
     f = mc.design_matrix(x, config.model)
-    baseline, interaction = np.asarray(config.baseline), np.asarray(config.interaction)
+    order = model_spec(config.model)[1]
     probs = mc._arm_probabilities(x, config.rule, config.distribution, config.scheme)
     a = f.T @ f
     d = f.shape[1]
@@ -91,7 +92,7 @@ def loop_replicate_fits(config: mc.SimConfig):
     for rep in range(config.reps):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
         z = mc._draw_arms(rng, probs, config.scheme)
-        y = mc._draw_outcomes(rng, f @ baseline, f @ interaction, z, config.sigma)
+        y = config.sigma * rng.standard_normal(config.n)
         zf = z[:, None] * f
         b = f.T @ zf
         schur_cond[rep] = np.linalg.cond(a - b @ np.linalg.solve(a, b))
@@ -102,7 +103,7 @@ def loop_replicate_fits(config: mc.SimConfig):
             continue
         cf, cz = f.T @ y, zf.T @ y
         coef = np.concatenate([var @ cf + cross @ cz, cross.T @ cf + var @ cz])
-        coefs[rep] = coef[list(_QUADRATIC_FIT_TO_NATURAL)] if d == 3 else coef
+        coefs[rep] = coef if order is None else coef[list(order)]
     return coefs, degenerate, schur_cond
 
 

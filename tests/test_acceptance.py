@@ -9,11 +9,12 @@ import time
 
 import numpy as np
 
-from tiebreak import (AssignmentDistribution, FeatureMatrix,
+from tiebreak import (AssignmentDistribution, FeatureMatrix, IntervalRule,
                       ScoreThresholdRule, SlidingScale, TieBreaker, mc)
 from tiebreak.general import evaluate_design, fully_randomized_covariance
 from tiebreak.moments import design_moments, sliding_moments
-from tiebreak.sliding import full_covariance_sliding, variances_sliding
+from tiebreak.sliding import (full_covariance_sliding, symmetrize,
+                              variances_sliding)
 from tiebreak.twoline import (covariance_gaussian, covariance_uniform,
                               efficiency_vs_rdd, noncentral_covariance,
                               optimal_delta, value)
@@ -114,7 +115,7 @@ def test_criterion_07_monte_carlo_agreement():
                      n=4000, reps=2000),
         mc.SimConfig(rule=TieBreaker(1.0), model=mc.QUADRATIC,
                      n=4000, reps=2000),
-        mc.SimConfig(rule=mc.IntervalRule(0.6, 0.8), n=20000, reps=2000),
+        mc.SimConfig(rule=IntervalRule(0.6, 0.8), n=20000, reps=2000),
     ]
     ok = True
     worst = 0.0
@@ -133,7 +134,7 @@ def test_criterion_08_symmetrization_improves_scales():
     ok = True
     for seed in range(200):
         scale = balanced_monotone_scale(np.random.default_rng(seed))
-        folded = scale.symmetrized()
+        folded = symmetrize(scale)
         after = sliding_moments(folded)
         ok = ok and abs(after.z_mean) <= 1e-9
         ok = ok and abs(after.zx2_mean) <= 1e-9
@@ -146,7 +147,7 @@ def test_criterion_08_symmetrization_improves_scales():
     absolute = SlidingScale.from_callable(np.abs, breakpoints=(0.0,))
     w = (0.0, 1.0, 0.0, 1.0)
     combo_before = full_covariance_sliding(absolute).quadratic_form(w)
-    combo_after = full_covariance_sliding(absolute.symmetrized()).quadratic_form(w)
+    combo_after = full_covariance_sliding(symmetrize(absolute)).quadratic_form(w)
     ok = ok and combo_after > combo_before + 1.0
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0

@@ -8,7 +8,9 @@ values mixed with NaN, +-inf, negatives and out-of-range values, and,
 where a parameter broadcasts, lists and 1-d arrays sharing one length
 per call, as broadcasting requires. Finite draws are 0 or between 1e-3
 and 3 in magnitude, so no product or square of them leaves the float
-range.
+range, except in the rows of the closed forms that take unbounded reals:
+those also draw magnitudes up to 1e300, whose products overflow and must
+raise DomainError rather than warn.
 """
 
 import json
@@ -26,6 +28,8 @@ BAD = [np.nan, np.inf, -np.inf, -1.0, -0.25, 0.0, 0.5, 1.0, 1.5, 7.0]
 # Moderate magnitudes: 0, or between 1e-3 and 3 in absolute value.
 moderate = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
 real = st.one_of(moderate, st.sampled_from(BAD))
+# Any magnitude up to 1e300, for the rows whose results can overflow.
+wide = st.one_of(real, st.floats(-1e300, 1e300))
 unit = st.one_of(moderate.map(abs).filter(lambda v: v <= 1.0), st.sampled_from(BAD))
 distributions = st.sampled_from([None, tb.AssignmentDistribution.uniform_rank(),
                                  tb.AssignmentDistribution.standard_gaussian()])
@@ -72,7 +76,7 @@ def scales(draw):
     else:
         scale = tb.SlidingScale.from_callable(
             _logistic(draw(st.floats(-6.0, 6.0)), draw(st.floats(-0.5, 0.5))))
-    return scale.symmetrized() if draw(st.booleans()) else scale
+    return tb.symmetrize(scale) if draw(st.booleans()) else scale
 
 
 scale_args = st.one_of(scales(), st.sampled_from([tb.TieBreaker(0.5), 0.5, None]))
@@ -284,12 +288,12 @@ CONTRACT = {
         features_and_rule(),
         lambda features, parts: (len(features), tb.expected_weights(features, _rule(parts))),
         lambda out: expect(out[1].shape == (out[0],) and np.all(np.abs(out[1]) <= 1.0))),
-    "experimentation_cost": (broadcast(unit, real, real), tb.experimentation_cost, None),
+    "experimentation_cost": (broadcast(unit, wide, wide), tb.experimentation_cost, None),
     "full_covariance_sliding": (st.tuples(scale_args), tb.full_covariance_sliding,
                                 lambda out: covariance(out, 4)),
     "fully_randomized_covariance": (st.tuples(feature_arrays()),
                                     tb.fully_randomized_covariance, square),
-    "gain": (broadcast(unit, real, real), tb.gain, None),
+    "gain": (broadcast(unit, wide, wide), tb.gain, None),
     "gaussian_zx_mean": (broadcast(unit), tb.gaussian_zx_mean, None),
     "min_delta_for_fraction": (st.tuples(unit), tb.min_delta_for_fraction,
                                lambda out: expect(0.0 <= out <= 1.0)),
@@ -303,7 +307,7 @@ CONTRACT = {
                                         min_size=n, max_size=n),
             st.lists(real, min_size=n - 1, max_size=n))),
         tb.ols_fit, lambda out: expect(out.ndim == 1, out)),
-    "optimal_delta": (st.tuples(real, real), tb.optimal_delta,
+    "optimal_delta": (st.tuples(wide, wide), tb.optimal_delta,
                       lambda out: expect(isinstance(out, float) and 0.0 <= out <= 1.0)),
     "precision": (broadcast(unit), tb.precision, None),
     "rank_transform": (
@@ -325,11 +329,11 @@ CONTRACT = {
         lambda xs, rule, distribution: (xs[0], tb.treatment_probability(
             xs[0], rule, distribution)),
         lambda out: (shaped(out[1], out[0]), probabilities(out[1]))),
-    "value": (broadcast(unit, real, real, real), tb.value, None),
-    "var_gain_at_x": (st.tuples(broadcast(unit, real), distributions),
+    "value": (broadcast(unit, wide, wide, wide), tb.value, None),
+    "var_gain_at_x": (st.tuples(broadcast(unit, wide), distributions),
                       lambda args, distribution: (args, tb.var_gain_at_x(*args, distribution)),
                       lambda out: shaped(out[1], *out[0])),
-    "var_gain_quadratic": (st.tuples(unit, broadcast(real)),
+    "var_gain_quadratic": (st.tuples(unit, broadcast(wide)),
                            lambda delta, xs: (xs[0], tb.var_gain_quadratic(delta, xs[0])),
                            lambda out: shaped(out[1], out[0])),
     "variances_sliding": (
@@ -346,10 +350,16 @@ PINNED = {
     "FeatureMatrix": [(np.ones((1, 2, 2)), False, True)],
     "SlidingScale": [(([np.nan, 0.0], [0.5, 0.5]), False)],
     "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan)],
-    "gain": [(0.5, [1.0, 2.0], 0.0)],
+    "experimentation_cost": [(0.5, 1e300, 1e300)],
+    "gain": [(0.5, [1.0, 2.0], 0.0), (0.5, 1.7e308, 1.7e308)],
     "ols_fit": [(np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, np.nan, 0.0])],
+    "optimal_delta": [(np.float64(1e308), np.float64(1e-308))],
     "treatment_probability": [((np.nan,), tb.SlidingScale.from_table([-1, 1], [0, 1]), None)],
-    "value": [(0.5, 1.0, [1.0, 2.0], 0.0), (0.5, 1.0, np.array([1.0, 2.0]), 0.0)],
+    "value": [(0.5, 1.0, [1.0, 2.0], 0.0), (0.5, 1.0, np.array([1.0, 2.0]), 0.0),
+              (0.5, 1.0, 1.7e308, 1.7e308)],
+    "var_gain_at_x": [((0.5, 1e200), None),
+                      ((0.5, 1e200), tb.AssignmentDistribution.standard_gaussian())],
+    "var_gain_quadratic": [(0.5, (1e200,))],
 }
 
 

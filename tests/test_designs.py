@@ -9,6 +9,7 @@ from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               subject_ranks, treatment_probability)
 from tiebreak.errors import DomainError
 from tiebreak.general import FeatureMatrix, expected_weights
+from tiebreak.sliding import symmetrize
 
 from helpers import bisect_normal_ppf
 
@@ -218,16 +219,28 @@ def test_sliding_scale_from_callable_range_check():
     assert 0.0 < scale(-0.3) < 0.5 < scale(0.3) < 1.0
 
 
+@pytest.mark.parametrize("scale", [
+    SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0]),
+    SlidingScale.from_callable(lambda x: 0.5 * (1 + np.tanh(2 * x))),
+    SlidingScale.from_rule(TieBreaker(0.5)),
+], ids=["table", "callable", "rule"])
+def test_scale_refuses_non_finite_x(scale):
+    # As treatment_probability does: a NaN x has no probability.
+    for x in (np.nan, [0.0, np.inf]):
+        with pytest.raises(DomainError, match="x must be finite"):
+            scale(x)
+
+
 def test_symmetrized_scale_balances_pointwise():
     rng = np.random.default_rng(3)
     xs = np.sort(rng.uniform(-1, 1, size=6))
     ps = np.sort(rng.uniform(0, 1, size=6))
     scale = SlidingScale.from_table(xs, ps)
-    sym = scale.symmetrized()
+    sym = symmetrize(scale)
     grid = np.linspace(-1, 1, 401)
     np.testing.assert_allclose(sym(grid) + sym(-grid), 1.0, atol=1e-12)
     # Symmetrizing is idempotent
-    again = sym.symmetrized()
+    again = symmetrize(sym)
     np.testing.assert_allclose(again(grid), sym(grid), atol=1e-12)
     # The odd moment is preserved exactly at the table level
     from tiebreak.moments import sliding_moments
@@ -237,7 +250,7 @@ def test_symmetrized_scale_balances_pointwise():
 
 def test_symmetrized_callable_scale():
     scale = SlidingScale.from_callable(lambda x: 0.25 + 0.5 * (x > 0.2))
-    sym = scale.symmetrized()
+    sym = symmetrize(scale)
     grid = np.linspace(-1, 1, 101)
     np.testing.assert_allclose(sym(grid) + sym(-grid), 1.0, atol=1e-12)
 
