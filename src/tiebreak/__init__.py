@@ -13,8 +13,8 @@ eligibility scores, and checks every formula by simulation.
 from .covariance import (CoefCovariance, QUADRATIC_LABELS, TWOLINE_LABELS,
                          design_covariance)
 from .designs import (AssignmentDistribution, IntervalRule, ScoreThresholdRule,
-                      SlidingScale, ThreeLevelRule, TieBreaker, rank_transform,
-                      subject_ranks, treatment_probability)
+                      SlidingScale, ThreeLevelRule, TieBreaker, subject_ranks,
+                      treatment_probability)
 from .errors import (DegenerateDesignError, DomainError, NoFeasibleDesignError,
                      RankDeficientError)
 from .general import (DesignEvaluation, FeatureMatrix, SearchResult,
@@ -51,8 +51,8 @@ __all__ = [
     "fully_randomized_covariance", "gain", "gaussian_zx_mean",
     "min_delta_for_fraction",
     "moment_determinant", "noncentral_covariance", "ols_fit",
-    "optimal_delta", "precision", "rank_transform",
-    "run_simulation", "sliding_moments", "subject_ranks", "symmetrize",
+    "optimal_delta", "precision", "run_simulation", "sliding_moments",
+    "subject_ranks", "symmetrize",
     "treatment_probability", "value", "var_gain_at_x",
     "var_gain_quadratic", "variances_sliding",
 ]

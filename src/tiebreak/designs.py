@@ -39,27 +39,19 @@ def _check_finite(value, name: str) -> np.ndarray:
     return arr
 
 
-def rank_transform(scores: Sequence[float]) -> np.ndarray:
-    """Equispaced rank values for N scores, sorted ascending.
+def subject_ranks(scores: Sequence[float]) -> np.ndarray:
+    """Rank value per input subject, ties broken by original index (stable).
 
-    Returns x_i = (2i - N - 1)/N for i = 1..N. The output depends on the
-    scores only through N; see subject_ranks for the per-subject mapping.
+    Sorted, the values are x_i = (2i - N - 1)/N for i = 1..N, the
+    uniform-rank grid, which depends on the scores only through N.
     """
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("scores must be a non-empty one-dimensional sequence")
     if not np.all(np.isfinite(arr)):
         raise DomainError("scores must all be finite")
-    return AssignmentDistribution.uniform_rank().points(arr.size)
-
-
-def subject_ranks(scores: Sequence[float]) -> np.ndarray:
-    """Rank value per input subject, ties broken by original index (stable)."""
-    arr = np.asarray(scores, dtype=float)
-    grid = rank_transform(arr)
-    order = np.argsort(arr, kind="stable")
-    out = np.empty_like(grid)
-    out[order] = grid
+    out = np.empty(arr.size)
+    out[np.argsort(arr, kind="stable")] = AssignmentDistribution.uniform_rank().points(arr.size)
     return out
 
 

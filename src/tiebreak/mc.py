@@ -13,7 +13,10 @@ replicate can be reproduced alone, the full run is independent of
 execution order, and two runs with the same seed agree bit for bit.
 
 Within a replicate the draw order is fixed: one uniform per subject for
-the arms, then one normal per subject for the noise.
+the arms, then one unit normal per subject for the noise. sigma never
+enters the loop: least squares is linear in y, so run_simulation rescales
+its unit-noise report once, exactly, and SimConfig accepts sigma only in
+[1e-100, 1e100], where no rescaled entry leaves the float range.
 """
 
 from __future__ import annotations
@@ -89,9 +92,9 @@ def _draw_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.n
     return z
 
 
-def _draw_outcomes(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
-    """The outcomes of a model whose true coefficients are all zero: noise."""
-    return sigma * rng.standard_normal(n)
+def _draw_outcomes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Unit-normal noise: the outcomes when every true coefficient is zero."""
+    return rng.standard_normal(n)
 
 
 def _products(features: np.ndarray) -> np.ndarray:
@@ -141,10 +144,10 @@ def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     f = np.ascontiguousarray(features, dtype=float)
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
-    if f.ndim != 2 or not z.shape == y.shape == (len(f),) or not (
+    if f.ndim != 2 or 0 in f.shape or not z.shape == y.shape == (len(f),) or not (
             np.isfinite(f).all() and np.isfinite(y).all() and np.all(np.abs(z) == 1.0)):
-        raise DomainError("need an n x d finite feature array, n arms of +1 or -1 "
-                          "and n finite outcomes")
+        raise DomainError("need a non-empty n x d finite feature array, n arms of "
+                          "+1 or -1 and n finite outcomes")
     stats = _reduce(_products(f), f, z, y)
     coefs, reasons = _fit_stacked(f.T @ f, *(s[None] for s in stats))
     if reasons[0] is not None:
@@ -166,11 +169,14 @@ def empirical_covariance(coefs: np.ndarray, n: int) -> np.ndarray:
 class SimConfig:
     """One Monte Carlo run: a model, a design, and replication settings.
 
-    The outcomes are pure noise: every true coefficient is zero. Least
-    squares is equivariant, so adding F b + z F g to the outcomes would
-    shift every fit by exactly (b, g), moving coef_mean by (b, g) and
-    leaving the covariance unchanged. The rule assigns on x, so a
-    ScoreThresholdRule, which assigns on a feature score, is refused.
+    The outcomes are pure unit-normal noise: every true coefficient is
+    zero. Least squares is equivariant, so adding F b + z F g to the
+    outcomes would shift every fit by exactly (b, g), moving coef_mean by
+    (b, g) and leaving the covariance unchanged. It is linear in y, so
+    sigma, in [1e-100, 1e100], exactly rescales the finished report:
+    coef_mean by sigma, the covariances and their SEs by sigma^2. The rule
+    assigns on x, so a ScoreThresholdRule, which assigns on a feature
+    score, is refused.
     """
 
     rule: DesignRule
@@ -201,8 +207,8 @@ class SimConfig:
             raise DomainError("reps must be at least 2")
         if not 0 <= self.seed < 2 ** 63:
             raise DomainError("seed must be a non-negative 63-bit integer")
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError("sigma must be positive")
+        if not 1e-100 <= self.sigma <= 1e100:
+            raise DomainError("sigma must lie in [1e-100, 1e100]")
 
     def labels(self) -> tuple[str, ...]:
         return model_spec(self.model)[0]
@@ -270,8 +276,8 @@ def closed_form_reference(config: SimConfig) -> CoefCovariance:
 
 
 def _replicate_fits(config: SimConfig):
-    """Every replicate's fitted coefficients, in natural order, and which
-    ones were degenerate.
+    """Every replicate's coefficients fitted to unit noise, in natural
+    order, and which ones were degenerate.
 
     The loop only draws and reduces: the arm probabilities and the
     products F_j F_l are fixed for the run, and each replicate leaves
@@ -290,7 +296,7 @@ def _replicate_fits(config: SimConfig):
     for rep in range(config.reps):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
         z = _draw_arms(rng, probs, config.scheme)
-        y = _draw_outcomes(rng, config.n, config.sigma)
+        y = _draw_outcomes(rng, config.n)
         bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)
     coefs, reasons = _fit_stacked(features.T @ features, bz, cf, cz)
     order = model_spec(config.model)[1]
@@ -303,7 +309,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     """Run the replicates and compare against closed_form_reference.
 
     Replicates whose realized design is rank deficient are dropped, and
-    more than 1% of them marks the design itself degenerate.
+    more than 1% of them marks the design itself degenerate. The check
+    runs at unit noise, and sigma then rescales what is reported.
     """
     reference = closed_form_reference(config)
     labels = config.labels()
@@ -315,10 +322,11 @@ def run_simulation(config: SimConfig) -> SimReport:
     coefs = coefs[~bad]
     used = len(coefs)
     empirical = empirical_covariance(coefs, config.n)
-    ref_mat = reference.matrix * config.sigma ** 2
-    se = np.sqrt((np.outer(np.diag(ref_mat), np.diag(ref_mat)) + ref_mat ** 2) / used)
-    max_dev = float(np.max(np.abs(empirical - ref_mat) / se))
+    ref = reference.matrix
+    se = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref ** 2) / used)
+    max_dev = float(np.max(np.abs(empirical - ref) / se))
+    sigma, var = config.sigma, config.sigma ** 2
     return SimReport(config=config, labels=labels,
-                     coef_mean=coefs.mean(axis=0), empirical=empirical,
-                     se=se, reference=ref_mat, max_dev_se=max_dev,
+                     coef_mean=sigma * coefs.mean(axis=0), empirical=var * empirical,
+                     se=var * se, reference=var * ref, max_dev_se=max_dev,
                      degenerate=degenerate, reps_used=used)

@@ -140,24 +140,22 @@ def value(delta, beta3, lam, beta0: float = 0.0):
         return _finite_result(gain(delta, beta3, beta0) + lam * precision(delta))
 
 
-def optimal_delta(beta3: float, lam: float) -> float:
+def optimal_delta(beta3, lam):
     """Window width maximizing gain + lam * precision.
 
     The objective is quadratic in delta^2, giving a closed form: ratios
     r = b3/lam at or below 0 push to full randomization, r at or above 1
-    to the sharp cut-off, and in between delta* = sqrt(1 - r).
+    to the sharp cut-off, and in between delta* = sqrt(1 - r), so
+    delta* = sqrt(clip(1 - r, 0, 1)). Broadcasts over its arguments; a
+    non-finite b3, or a lam that is not finite and positive, raises
+    DomainError.
     """
-    if not np.isfinite(beta3):
-        raise DomainError("beta3 must be finite")
-    if not (np.isfinite(lam) and lam > 0.0):
+    beta3 = _check_finite(beta3, "beta3")
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
         raise DomainError("the precision weight lam must be positive")
     with np.errstate(over="ignore"):
-        r = beta3 / lam
-    if r <= 0.0:
-        return 1.0
-    if r >= 1.0:
-        return 0.0
-    return float(np.sqrt(1.0 - r))
+        return _finite_result(np.sqrt(np.clip(1.0 - beta3 / lam, 0.0, 1.0)))
 
 
 def min_delta_for_fraction(rho: float) -> float:

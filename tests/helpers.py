@@ -73,7 +73,8 @@ def loop_replicate_fits(config: mc.SimConfig):
     """The Monte Carlo replicate loop with one least-squares fit per replicate.
 
     Per replicate: the Philox stream keyed (seed, rep), the arm draw from
-    the rule's probabilities, then the noise draw (the outcomes), then the
+    the rule's probabilities, then the unit-noise draw (the outcomes; the
+    simulator applies sigma only to its finished report), then the
     joint fit from F'(zF), F'y and (zF)'y through a 2-D Schur inverse, a
     refused design caught and marked. Returns the coefficients in natural
     order, by the model's permutation (NaN rows where degenerate), the
@@ -92,7 +93,7 @@ def loop_replicate_fits(config: mc.SimConfig):
     for rep in range(config.reps):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
         z = mc._draw_arms(rng, probs, config.scheme)
-        y = config.sigma * rng.standard_normal(config.n)
+        y = rng.standard_normal(config.n)
         zf = z[:, None] * f
         b = f.T @ zf
         schur_cond[rep] = np.linalg.cond(a - b @ np.linalg.solve(a, b))

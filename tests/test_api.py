@@ -15,14 +15,14 @@ PUBLIC = {
     "expected_weights", "experimentation_cost", "full_covariance_sliding",
     "fully_randomized_covariance", "gain", "gaussian_zx_mean",
     "min_delta_for_fraction", "moment_determinant", "noncentral_covariance",
-    "ols_fit", "optimal_delta", "precision", "rank_transform", "run_simulation",
+    "ols_fit", "optimal_delta", "precision", "run_simulation",
     "sliding_moments", "subject_ranks", "symmetrize", "treatment_probability",
     "value", "var_gain_at_x", "var_gain_quadratic", "variances_sliding",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(tiebreak.__all__) == len(PUBLIC) == 53
+    assert len(tiebreak.__all__) == len(PUBLIC) == 52
     assert set(tiebreak.__all__) == PUBLIC
 
 

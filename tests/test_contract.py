@@ -10,7 +10,8 @@ per call, as broadcasting requires. Finite draws are 0 or between 1e-3
 and 3 in magnitude, so no product or square of them leaves the float
 range, except in the rows of the closed forms that take unbounded reals:
 those also draw magnitudes up to 1e300, whose products overflow and must
-raise DomainError rather than warn.
+raise DomainError rather than warn. The simulator's sigma is drawn the
+same way, and from both sides of its accepted range.
 """
 
 import json
@@ -83,16 +84,16 @@ scale_args = st.one_of(scales(), st.sampled_from([tb.TieBreaker(0.5), 0.5, None]
 
 
 @st.composite
-def feature_arrays(draw, n=None):
+def feature_arrays(draw, n=None, least_width=1):
     """Raw feature tables, mostly with an intercept column, sometimes
     holding a bad value or of the wrong rank."""
-    n = n or draw(st.integers(1, 10))
-    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 10)) if n is None else n
+    d = draw(st.integers(least_width, 3))
     cells = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * d, max_size=n * d))
-    vals = np.array(cells).reshape(n, d)
-    if draw(st.integers(0, 3)):
+    vals = np.array(cells, dtype=float).reshape(n, d)
+    if d and draw(st.integers(0, 3)):
         vals[:, 0] = 1.0
-    if not draw(st.integers(0, 5)):
+    if vals.size and not draw(st.integers(0, 5)):
         vals.flat[draw(st.integers(0, n * d - 1))] = draw(st.sampled_from(BAD))
     shape = draw(st.sampled_from([vals.shape] * 4 + [(n * d,), (1, n, d)]))
     return vals.reshape(shape)
@@ -117,13 +118,18 @@ def features_and_rule(draw):
     return features, (draw(thetas_for(d)), draw(real), draw(unit))
 
 
+# sigma across the float range: both ends of the accepted [1e-100, 1e100]
+# and values beyond them, whose squares underflow or overflow.
+SIGMA_EDGES = [1e-300, 1e-150, 1e-100, 1e100, 1e160, 1e300]
+
+
 @st.composite
 def sim_parts(draw):
     return dict(rule=draw(st.one_of(window_rules(), scales())), model=draw(models),
                 distribution=draw(distributions.filter(bool)),
                 n=draw(st.integers(2, 24) | st.sampled_from([2.5, np.int64(12)])),
                 reps=draw(st.integers(0, 8)), seed=draw(st.integers(-1, 5)),
-                sigma=draw(real),
+                sigma=draw(st.one_of(wide, st.sampled_from(SIGMA_EDGES))),
                 scheme=draw(st.sampled_from(["simple-random", "stratified-pairs"])))
 
 
@@ -302,18 +308,16 @@ CONTRACT = {
     "noncentral_covariance": (st.tuples(real, real, unit, st.booleans()),
                               tb.noncentral_covariance, covariance),
     "ols_fit": (
-        st.integers(2, 12).flatmap(lambda n: st.tuples(
-            feature_arrays(n), st.lists(st.sampled_from([1.0, -1.0, 0.0, np.nan]),
-                                        min_size=n, max_size=n),
-            st.lists(real, min_size=n - 1, max_size=n))),
+        st.integers(0, 12).flatmap(lambda n: st.tuples(
+            feature_arrays(n, least_width=0),
+            st.lists(st.sampled_from([1.0, -1.0, 0.0, np.nan]), min_size=n, max_size=n),
+            st.lists(real, min_size=max(n - 1, 0), max_size=n))),
         tb.ols_fit, lambda out: expect(out.ndim == 1, out)),
-    "optimal_delta": (st.tuples(wide, wide), tb.optimal_delta,
-                      lambda out: expect(isinstance(out, float) and 0.0 <= out <= 1.0)),
+    "optimal_delta": (broadcast(wide, wide),
+                      lambda *args: (args, tb.optimal_delta(*args)),
+                      lambda out: (shaped(out[1], *out[0]),
+                                   expect(np.all((out[1] >= 0.0) & (out[1] <= 1.0))))),
     "precision": (broadcast(unit), tb.precision, None),
-    "rank_transform": (
-        st.tuples(st.lists(real, max_size=5) | st.just([[0.0, 1.0]])),
-        lambda scores: (len(scores), tb.rank_transform(scores)),
-        lambda out: expect(out[1].shape == (out[0],), out[1])),
     "run_simulation": (st.tuples(sim_parts()), lambda parts: tb.run_simulation(tb.SimConfig(**parts)),
                        report),
     "sliding_moments": (st.tuples(scale_args), tb.sliding_moments,
@@ -345,15 +349,21 @@ CONTRACT = {
 ALLOWED = (tb.DomainError, tb.DegenerateDesignError)
 
 # Inputs that once escaped the contract, tried before the drawn ones.
+_SIGMA_RUNS = [(dict(rule=tb.TieBreaker(0.5), n=40, reps=20, sigma=sigma),)
+               for sigma in SIGMA_EDGES]
 PINNED = {
     "AssignmentDistribution": [("uniform-rank", 2.5)],
     "FeatureMatrix": [(np.ones((1, 2, 2)), False, True)],
+    "SimReport": _SIGMA_RUNS,
     "SlidingScale": [(([np.nan, 0.0], [0.5, 0.5]), False)],
     "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan)],
     "experimentation_cost": [(0.5, 1e300, 1e300)],
     "gain": [(0.5, [1.0, 2.0], 0.0), (0.5, 1.7e308, 1.7e308)],
-    "ols_fit": [(np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, np.nan, 0.0])],
+    "ols_fit": [(np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, np.nan, 0.0]),
+                (np.ones((4, 0)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]),
+                (np.ones((0, 2)), [], []), (np.ones((1, 1)), [1.0], [0.0])],
     "optimal_delta": [(np.float64(1e308), np.float64(1e-308))],
+    "run_simulation": _SIGMA_RUNS,
     "treatment_probability": [((np.nan,), tb.SlidingScale.from_table([-1, 1], [0, 1]), None)],
     "value": [(0.5, 1.0, [1.0, 2.0], 0.0), (0.5, 1.0, np.array([1.0, 2.0]), 0.0),
               (0.5, 1.0, 1.7e308, 1.7e308)],

@@ -5,8 +5,8 @@ from scipy.special import ndtri
 
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               ScoreThresholdRule, SlidingScale,
-                              ThreeLevelRule, TieBreaker, rank_transform,
-                              subject_ranks, treatment_probability)
+                              ThreeLevelRule, TieBreaker, subject_ranks,
+                              treatment_probability)
 from tiebreak.errors import DomainError
 from tiebreak.general import FeatureMatrix, expected_weights
 from tiebreak.sliding import symmetrize
@@ -14,22 +14,25 @@ from tiebreak.sliding import symmetrize
 from helpers import bisect_normal_ppf
 
 
-def test_rank_transform_grid():
-    np.testing.assert_allclose(rank_transform(np.zeros(5)),
+def test_subject_ranks_grid():
+    # Sorted, the ranks are the uniform-rank grid (2i - N - 1)/N, i = 1..N.
+    np.testing.assert_allclose(subject_ranks(np.zeros(5)),
                                [-0.8, -0.4, 0.0, 0.4, 0.8])
-    grid = rank_transform(np.arange(100))
+    grid = subject_ranks(np.arange(100))
     assert grid.mean() == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(grid, -grid[::-1])
     assert grid[0] == -0.99 and grid[-1] == 0.99
+    np.testing.assert_array_equal(
+        grid, AssignmentDistribution.uniform_rank().points(100))
 
 
-def test_rank_transform_rejects_bad_input():
+def test_subject_ranks_rejects_bad_input():
     with pytest.raises(DomainError):
-        rank_transform([])
+        subject_ranks([])
     with pytest.raises(DomainError):
-        rank_transform([1.0, np.nan])
+        subject_ranks([1.0, np.nan])
     with pytest.raises(DomainError):
-        rank_transform(np.ones((2, 2)))
+        subject_ranks(np.ones((2, 2)))
 
 
 def test_subject_ranks_stable_ties():
@@ -43,7 +46,8 @@ def test_subject_ranks_permutation_of_grid():
     rng = np.random.default_rng(42)
     scores = rng.normal(size=57)
     ranks = subject_ranks(scores)
-    np.testing.assert_allclose(np.sort(ranks), rank_transform(scores))
+    np.testing.assert_allclose(np.sort(ranks),
+                               AssignmentDistribution.uniform_rank().points(57))
     # Higher score, higher rank value
     order = np.argsort(scores)
     assert np.all(np.diff(ranks[order]) > 0)

@@ -183,6 +183,36 @@ def test_schur_blocks_invert_the_joint_gram(data):
                                atol=1e-14 * cond)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ols_fit_is_equivariant(data):
+    # Adding F b + z F g to the outcomes shifts the fit by exactly (b, g)
+    # in exact arithmetic. That is why the simulator draws no true
+    # coefficients, and with linearity in y why sigma only rescales its
+    # report. In floats the shift errs by rounding that the joint Gram's
+    # condition amplifies: probed at most 12.6 cond eps times the largest
+    # coefficient over 5400 designs drawn like these, so 64 leaves a
+    # margin of five.
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(2 * d + 2, 40))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    rng = np.random.default_rng(seed)
+    f = np.vander(rng.uniform(-1.0, 1.0, n), d, increasing=True)
+    z = rng.choice([-1.0, 1.0], n)
+    y = rng.standard_normal(n)
+    shift = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * d,
+                                        max_size=2 * d)))
+    try:
+        base = mc.ols_fit(f, z, y)
+    except RankDeficientError:
+        return
+    moved = mc.ols_fit(f, z, y + f @ shift[:d] + z * (f @ shift[d:]))
+    joint = np.hstack([f, z[:, None] * f])
+    want = base + shift
+    bound = 64.0 * np.linalg.cond(joint.T @ joint) * np.finfo(float).eps
+    assert np.abs(moved - want).max() <= bound * np.abs(want).max()
+
+
 class TestEmpiricalCovariance:
 
     def test_hand_example(self):
@@ -262,8 +292,9 @@ class TestSimConfig:
             mc.SimConfig(rule=rule, reps=1)
         with pytest.raises(DomainError):
             mc.SimConfig(rule=rule, seed=-1)
-        with pytest.raises(DomainError):
-            mc.SimConfig(rule=rule, sigma=0.0)
+        for sigma in (0.0, -1.0, np.nan, np.inf, 1e-150, 1e160, 9.9e-101, 1.01e100):
+            with pytest.raises(DomainError, match=r"\[1e-100, 1e100\]"):
+                mc.SimConfig(rule=rule, sigma=sigma)
         with pytest.raises(DomainError):
             mc.SimConfig(rule=rule, model="cubic")
         with pytest.raises(DomainError, match="unknown assignment scheme"):
@@ -308,10 +339,13 @@ class TestRunSimulation:
                             sigma=2.0)
         rep1 = mc.run_simulation(base)
         rep2 = mc.run_simulation(loud)
-        np.testing.assert_allclose(rep2.reference, 4.0 * rep1.reference,
-                                   rtol=1e-14)
-        np.testing.assert_allclose(rep2.empirical, 4.0 * rep1.empirical,
-                                   rtol=1e-10)
+        # sigma rescales the finished report, and a power of two rescales
+        # without rounding.
+        for name in ("reference", "empirical", "se"):
+            np.testing.assert_array_equal(getattr(rep2, name),
+                                          4.0 * getattr(rep1, name))
+        np.testing.assert_array_equal(rep2.coef_mean, 2.0 * rep1.coef_mean)
+        assert rep2.max_dev_se == rep1.max_dev_se
 
     def test_degenerate_design_raises(self):
         # Four subjects all inside the window: about one replicate in
@@ -423,9 +457,9 @@ class TestStackedFit:
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_stacked_fit_matches_the_loop(data):
-    # Random windows, designs and noise levels. The two fits sum in
-    # different orders, so coefficients may differ by rounding amplified
-    # by the realized Schur complement's condition.
+    # Random windows and designs, fitted to unit noise. The two fits sum
+    # in different orders, so coefficients may differ by rounding
+    # amplified by the realized Schur complement's condition.
     a, b = sorted(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2,
                                      max_size=2)))
     scheme = data.draw(st.sampled_from((mc.SIMPLE_RANDOM, mc.STRATIFIED_PAIRS)))
@@ -433,8 +467,7 @@ def test_stacked_fit_matches_the_loop(data):
     model = data.draw(st.sampled_from((mc.TWOLINE, mc.QUADRATIC)))
     config = mc.SimConfig(rule=IntervalRule(a, b, p), model=model,
                           n=data.draw(st.integers(8, 300)), reps=12,
-                          seed=data.draw(st.integers(0, 2 ** 32)),
-                          sigma=data.draw(st.floats(0.1, 3.0)), scheme=scheme)
+                          seed=data.draw(st.integers(0, 2 ** 32)), scheme=scheme)
     coefs, degenerate = mc._replicate_fits(config)
     want, want_degenerate, schur_cond = loop_replicate_fits(config)
     np.testing.assert_array_equal(degenerate, want_degenerate)
@@ -442,6 +475,33 @@ def test_stacked_fit_matches_the_loop(data):
     gap = np.abs(coefs[ok] - want[ok]).max(axis=1)
     scale = np.abs(want[ok]).max(axis=1)
     assert np.all(gap <= 1e-12 * schur_cond[ok] * scale)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sigma_is_an_exact_rescale_of_the_report(data):
+    # The replicates are fitted to unit noise and sigma only rescales the
+    # finished report. A power of two 2^k rescales without rounding, so
+    # the covariances are bitwise 4^k and coef_mean 2^k times the unit
+    # run's; the SE verdict never sees sigma, whatever sigma is.
+    rule = data.draw(st.sampled_from([TieBreaker(0.5), IntervalRule(0.6, 0.8),
+                                      TieBreaker(0.0, 0.3)]))
+    parts = dict(rule=rule, model=data.draw(st.sampled_from((mc.TWOLINE, mc.QUADRATIC))),
+                 distribution=data.draw(st.sampled_from(
+                     [AssignmentDistribution.uniform_rank(),
+                      AssignmentDistribution.standard_gaussian()])),
+                 n=60, reps=12, seed=data.draw(st.integers(0, 2 ** 32)))
+    unit = mc.run_simulation(mc.SimConfig(**parts))
+    k = data.draw(st.integers(-40, 40))
+    scaled = mc.run_simulation(mc.SimConfig(**parts, sigma=2.0 ** k))
+    for name in ("empirical", "reference", "se"):
+        np.testing.assert_array_equal(getattr(scaled, name), 4.0 ** k * getattr(unit, name))
+    np.testing.assert_array_equal(scaled.coef_mean, 2.0 ** k * unit.coef_mean)
+    sigma = data.draw(st.floats(1e-100, 1e100) | st.sampled_from([1e-100, 1e100, 3.0, 0.3]))
+    any_sigma = mc.run_simulation(mc.SimConfig(**parts, sigma=sigma))
+    assert any_sigma.max_dev_se == unit.max_dev_se
+    assert np.isfinite(any_sigma.reference).all() and np.isfinite(any_sigma.empirical).all()
+    assert np.all(any_sigma.se > 0.0) and np.isfinite(any_sigma.se).all()
 
 
 class TestSimReport:

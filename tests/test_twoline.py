@@ -173,6 +173,22 @@ def test_optimal_delta_branches():
         optimal_delta(np.nan, 1.0)
 
 
+def test_optimal_delta_broadcasts_like_scalar_calls():
+    # Both saturated branches, the interior, and a ratio that overflows.
+    beta3s, lams = [-1.0, 0.0, 1.0, 2.0, 5.0, 1e308], [2.0, 2.0, 2.0, 2.0, 2.0, 1e-308]
+    want = [optimal_delta(b3, lam) for b3, lam in zip(beta3s, lams)]
+    assert all(type(w) is float for w in want)
+    for pick in (list, np.array):
+        got = optimal_delta(pick(beta3s), pick(lams))
+        assert isinstance(got, np.ndarray) and got.tolist() == want
+        assert optimal_delta(1.0, pick(lams[:5])).tolist() == \
+            [optimal_delta(1.0, lam) for lam in lams[:5]]
+        with pytest.raises(DomainError, match="lam must be positive"):
+            optimal_delta(1.0, pick([2.0, 0.0]))
+        with pytest.raises(DomainError, match="beta3 must be finite"):
+            optimal_delta(pick([1.0, np.nan]), 2.0)
+
+
 def test_optimal_delta_beats_grid():
     rng = np.random.default_rng(99)
     grid = np.linspace(0, 1, 2001)
