@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import sys
 
 import click
@@ -45,6 +46,8 @@ def parse_grid(text: str, name: str = "grid") -> list[float]:
     except ValueError:
         raise click.UsageError(
             f"{name} must be a number or lo:hi:step, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise click.UsageError(f"{name} lo, hi and step must be finite, got {text!r}")
     if step <= 0.0:
         raise click.UsageError(f"{name} step must be positive")
     if hi < lo:

@@ -385,8 +385,9 @@ _EMPTY_ROW = string.whitespace + ',"'
 
 
 def _parse_rows(lines) -> np.ndarray:
-    """The one data-row parser: comma-separated numbers, quotes allowed."""
-    return np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2)
+    """The one data-row parser: comma-separated numbers, quotes allowed,
+    and no comments (a '#' in a data row makes it non-numeric)."""
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 def _read_table(path) -> tuple[tuple[str, ...], np.ndarray]:

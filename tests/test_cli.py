@@ -58,6 +58,10 @@ class TestParsers:
         for text in ("a", "0:1", "0:1:0", "1:0:0.1", "0:1:0.1:9"):
             with pytest.raises(click.UsageError):
                 parse_grid(text)
+        # A non-finite end or step is a usage error, not a traceback.
+        for text in ("nan:1:0.5", "0:inf:0.5", "0:1:nan", "-inf:0:1", "0:1:inf"):
+            with pytest.raises(click.UsageError, match="must be finite"):
+                parse_grid(text)
 
     def test_vector(self):
         assert parse_vector("1,-2,0.5") == (1.0, -2.0, 0.5)
@@ -102,6 +106,12 @@ class TestTwolineCurves:
     def test_malformed_grid_exits_2(self, runner):
         result = runner.invoke(main, ["twoline-curves", "--delta-grid", "oops"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("grid", ["nan:1:0.5", "0:inf:0.5", "0:1:nan"])
+    def test_non_finite_grid_exits_2(self, runner, grid):
+        result = runner.invoke(main, ["twoline-curves", "--delta-grid", grid])
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
 
 
 class TestGainVariance:

@@ -184,6 +184,11 @@ def test_sliding_scale_from_csv(tmp_path):
     bad.write_text("x,p\n0.0\n")
     with pytest.raises(DomainError):
         SlidingScale.from_csv(bad)
+    # A '#' row is refused, not read as a comment that drops a knot.
+    hashed = tmp_path / "hashed.csv"
+    hashed.write_text("x,p\n-1,0.1\n#0,0.5\n1,0.9\n")
+    with pytest.raises(DomainError, match="line 3 is not numeric"):
+        SlidingScale.from_csv(hashed)
     headerless = tmp_path / "empty.csv"
     headerless.write_text("")
     with pytest.raises(DomainError):

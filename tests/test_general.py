@@ -65,6 +65,9 @@ def test_feature_matrix_from_csv(tmp_path):
     ("1,2\n1,\n1,2\n", "line 3 is not numeric"),
     ("1\n1\n", "line 2 has 1 columns, expected 2"),
     ("1,2\r\n\r\n1,2\r\n1,2;\r\n", "line 5 is not numeric"),
+    # '#' starts no comment: a row holding one is not numeric.
+    ("1,2\n#3,4\n5,6\n", "line 3 is not numeric"),
+    ("1,2\n3,4\n5,6 # note\n", "line 4 is not numeric"),
     # A quoted cell may span lines; a record is named by its first line.
     ('1,"2\r\n3",4\n', "line 2 has 3 columns, expected 2"),
     ('1,2\n"3\n",4,5\n', "line 3 has 3 columns, expected 2"),
@@ -123,21 +126,28 @@ def test_window_blocks_against_brute_force():
     grid = np.array([0.0, 0.5, 0.8, 1.1, 20.0])
     ps = np.array([0.3, 0.5, 0.9])
     gram = vals.T @ vals
-    blocks, (no_treated, no_control) = _window_blocks(vals, vals @ theta, grid,
-                                                      2.0 * ps - 1.0, gram)
-    assert blocks.shape == (grid.size, ps.size, 3, 3)
-    for t, delta in enumerate(grid):
-        for k, p in enumerate(ps):
-            w, _, b, _ = brute_design(vals, theta, delta, p)
-            np.testing.assert_array_equal(w, expected_weights(
-                vals, ScoreThresholdRule(tuple(theta), delta, p)))
-            np.testing.assert_allclose(blocks[t, k], brute_weighted_gram(vals, w),
-                                       rtol=1e-12, atol=1e-12 * np.abs(gram).max())
-            np.testing.assert_allclose(blocks[t, k], b, rtol=1e-12,
-                                       atol=1e-12 * np.abs(gram).max())
-        assert not no_treated[t] and not no_control[t]
-    # The widest window holds everyone: exactly (2p - 1) A.
-    np.testing.assert_array_equal(blocks[-1], (2.0 * ps - 1.0)[:, None, None] * gram)
+    # The short grid is binned by counting, one longer than _COUNT_GRID by
+    # binary search; the long one holds 0.0 and every |score| itself.
+    long_grid = np.unique(np.concatenate(
+        [grid, np.abs(x), np.linspace(0.0, 4.0, general._COUNT_GRID)]))
+    assert grid.size <= general._COUNT_GRID < long_grid.size
+    for deltas in (grid, long_grid):
+        blocks, (no_treated, no_control) = _window_blocks(vals, vals @ theta, deltas,
+                                                          2.0 * ps - 1.0, gram)
+        assert blocks.shape == (deltas.size, ps.size, 3, 3)
+        for t, delta in enumerate(deltas):
+            for k, p in enumerate(ps):
+                w, _, b, _ = brute_design(vals, theta, delta, p)
+                np.testing.assert_array_equal(w, expected_weights(
+                    vals, ScoreThresholdRule(tuple(theta), delta, p)))
+                np.testing.assert_allclose(blocks[t, k], brute_weighted_gram(vals, w),
+                                           rtol=1e-12, atol=1e-12 * np.abs(gram).max())
+                np.testing.assert_allclose(blocks[t, k], b, rtol=1e-12,
+                                           atol=1e-12 * np.abs(gram).max())
+            assert not no_treated[t] and not no_control[t]
+        # The widest window holds everyone: exactly (2p - 1) A.
+        np.testing.assert_array_equal(blocks[-1],
+                                      (2.0 * ps - 1.0)[:, None, None] * gram)
     # One arm only: every score positive, then every score negative.
     for sign, flags in ((1.0, (False, True)), (-1.0, (True, False))):
         shifted = vals @ theta + sign * 10.0
@@ -435,8 +445,8 @@ def test_blocked_window_blocks_equal_per_direction_calls(search, block):
     gram = vals.T @ vals
     single = [_window_blocks(vals, vals @ np.array(theta), deltas, coins, gram)
               for theta in thetas]
-    blocks, empty = _window_blocks(vals, np.stack([vals @ np.array(t) for t in thetas]),
-                                   deltas, coins, gram)
+    scores = np.stack([vals @ np.array(t) for t in thetas])
+    blocks, empty = _window_blocks(vals, scores, deltas, coins, gram)
     assert blocks.tobytes() == np.stack([b for b, _ in single]).tobytes()
     assert empty.tobytes() == np.stack([e for _, e in single]).tobytes()
     # The search bins as many directions per pass as its cell budget
@@ -446,6 +456,12 @@ def test_blocked_window_blocks_equal_per_direction_calls(search, block):
         want = _candidate_bytes(vals, thetas, grid, ps)
         mp.setattr(general, "_BIN_CELLS", block * vals.shape[0])
         assert _candidate_bytes(vals, thetas, grid, ps) == want
+        # Every grid binned by binary search, not by counting: same bytes.
+        mp.setattr(general, "_COUNT_GRID", 0)
+        assert _candidate_bytes(vals, thetas, grid, ps) == want
+        searched, searched_empty = _window_blocks(vals, scores, deltas, coins, gram)
+        assert searched.tobytes() == blocks.tobytes()
+        assert searched_empty.tobytes() == empty.tobytes()
     assert _candidate_bytes(vals, thetas, grid, ps) == want
 
 
