@@ -17,7 +17,6 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import mc, quadratic, twoline
 from .covariance import design_covariance
@@ -30,6 +29,10 @@ from .general import CRITERIA, FeatureMatrix, design_search
 DISAGREEMENT_SE_LIMIT = 4.0
 
 _DIST_CHOICES = (UNIFORM_RANK, STANDARD_GAUSSIAN)
+
+# Most points a lo:hi:step grid may hold; a longer one is refused before
+# any of it is built.
+GRID_POINT_LIMIT = 1_000_000
 
 
 def parse_grid(text: str, name: str = "grid") -> list[float]:
@@ -52,7 +55,11 @@ def parse_grid(text: str, name: str = "grid") -> list[float]:
         raise click.UsageError(f"{name} step must be positive")
     if hi < lo:
         raise click.UsageError(f"{name} upper end is below the lower end")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
+    if count > GRID_POINT_LIMIT:
+        raise click.UsageError(
+            f"{name} {text!r} holds more than {GRID_POINT_LIMIT} points")
     return [lo + k * step for k in range(count)]
 
 

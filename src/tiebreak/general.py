@@ -87,6 +87,15 @@ def _feature_values(features) -> np.ndarray:
     return FeatureMatrix.from_array(features).values
 
 
+def _gram(vals: np.ndarray) -> np.ndarray:
+    """A = F'F, refused when finite but huge features overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = vals.T @ vals
+    if not np.isfinite(gram).all():
+        raise DomainError("features are too large: F'F overflows")
+    return gram
+
+
 def _scores(vals: np.ndarray, thetas) -> np.ndarray:
     """Scores F theta of a block of directions, (T, n). Each row is its
     own vals @ theta, which one product over the block might round
@@ -197,7 +206,7 @@ def _candidates(vals: np.ndarray, thetas, deltas, ps):
     n, d = vals.shape
     grid, pick = np.unique(np.asarray(deltas), return_inverse=True)
     coins = 2.0 * np.asarray(ps) - 1.0
-    gram = vals.T @ vals
+    gram = _gram(vals)
     step = max(1, _BIN_CELLS // max(n, 1))
     blocks, empty = zip(*(_window_blocks(vals, _scores(vals, thetas[t:t + step]),
                                          grid, coins, gram)
@@ -269,6 +278,7 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     = -A^-1 B Var(g-hat), per unit noise variance. Degenerate rules
     (everyone on one arm, or a collapsed Gram matrix) come back
     infeasible with a reason; nothing here raises for a bad design.
+    Features so large that F'F overflows raise DomainError.
     """
     vals = _feature_values(features)
     _, var, cross, (reason,) = _candidates(vals, [rule.theta], [rule.delta], [rule.p])
@@ -280,9 +290,9 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
 
 def fully_randomized_covariance(features) -> np.ndarray:
     """Var(g-hat) for the fair coin on everyone: B = 0, so A^-1, the PSD
-    floor. Collinear features raise DegenerateDesignError."""
-    vals = _feature_values(features)
-    a = vals.T @ vals
+    floor. Collinear features raise DegenerateDesignError, and features
+    so large that F'F overflows DomainError."""
+    a = _gram(_feature_values(features))
     return schur_inverse(a, np.zeros_like(a))[0]
 
 
@@ -306,7 +316,8 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     Returns feasible candidates sorted ascending (smaller is better),
     ties broken by candidate order. Raises NoFeasibleDesignError when
     nothing survives, so callers can distinguish an empty ranking from
-    a bad argument.
+    a bad argument, and DomainError, as evaluate_design does, for
+    features so large that F'F overflows.
     """
     if criterion not in CRITERIA:
         raise DomainError(f"unknown criterion {criterion!r}; "

@@ -8,9 +8,12 @@ leaves its sufficient statistics F'(zF), F'y and (zF)'y, and the fit
 runs afterwards as one stacked Schur inverse per block of replicates,
 the same inverse as the closed-form reference. ols_fit is the
 one-replicate case of that fit. The replicate streams are counter-based:
-replicate r of a run seeded s uses the generator keyed (s, r), so any
-replicate can be reproduced alone, the full run is independent of
-execution order, and two runs with the same seed agree bit for bit.
+replicate r of a run seeded s draws the stream of
+Generator(Philox(key=[s, r])), so any replicate can be reproduced alone,
+the full run is independent of execution order, and two runs with the
+same seed agree bit for bit. A run builds one Philox and re-keys it in
+place before each replicate, which draws the same stream without
+seeding a new generator each time.
 
 Within a replicate the draw order is fixed: one uniform per subject for
 the arms, then one unit normal per subject for the noise. sigma never
@@ -95,6 +98,26 @@ def _draw_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.n
 def _draw_outcomes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Unit-normal noise: the outcomes when every true coefficient is zero."""
     return rng.standard_normal(n)
+
+
+def _replicate_streams(seed: int, reps):
+    """Yield (rep, generator) for each replicate index rep in reps.
+
+    Every yield is the same Generator on one Philox, re-keyed in place:
+    its state is set to the one Philox(key=[seed, rep]) starts in (key
+    (seed, rep), counter 0, an empty buffer and no buffered uint32), so
+    it draws that stream bit for bit whatever the previous replicate left
+    half used. The start state is one dict whose key array is updated in
+    place, and the state setter copies it, so the loop allocates nothing.
+    """
+    bitgen = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bitgen)
+    start = bitgen.state
+    key = start["state"]["key"]
+    for rep in reps:
+        key[1] = rep
+        bitgen.state = start
+        yield rep, rng
 
 
 def _products(features: np.ndarray) -> np.ndarray:
@@ -280,10 +303,12 @@ def _replicate_fits(config: SimConfig):
     order, and which ones were degenerate.
 
     The loop only draws and reduces: the arm probabilities and the
-    products F_j F_l are fixed for the run, and each replicate leaves
-    three rows of sufficient statistics. The fit then runs stacked, once
-    per block of replicates, and the model's permutation puts its
-    coefficients in natural order. Degenerate rows are NaN.
+    products F_j F_l are fixed for the run, each replicate's stream is
+    the run's one Philox re-keyed to (seed, rep) by _replicate_streams,
+    and each replicate leaves three rows of sufficient statistics. The
+    fit then runs stacked, once per block of replicates, and the model's
+    permutation puts its coefficients in natural order. Degenerate rows
+    are NaN.
     """
     x = config.distribution.points(config.n)
     features = np.ascontiguousarray(design_matrix(x, config.model))
@@ -293,8 +318,7 @@ def _replicate_fits(config: SimConfig):
     bz = np.empty((config.reps, d * d))
     cf = np.empty((config.reps, d))
     cz = np.empty((config.reps, d))
-    for rep in range(config.reps):
-        rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
+    for rep, rng in _replicate_streams(config.seed, range(config.reps)):
         z = _draw_arms(rng, probs, config.scheme)
         y = _draw_outcomes(rng, config.n)
         bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)

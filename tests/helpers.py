@@ -72,7 +72,8 @@ def brute_design(features: np.ndarray, theta, delta: float, p: float):
 def loop_replicate_fits(config: mc.SimConfig):
     """The Monte Carlo replicate loop with one least-squares fit per replicate.
 
-    Per replicate: the Philox stream keyed (seed, rep), the arm draw from
+    Per replicate: a new Philox keyed (seed, rep), independent of the
+    simulator's one re-keyed Philox per run, then the arm draw from
     the rule's probabilities, then the unit-noise draw (the outcomes; the
     simulator applies sigma only to its finished report), then the
     joint fit from F'(zF), F'y and (zF)'y through a 2-D Schur inverse, a

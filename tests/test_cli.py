@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import tiebreak
-from tiebreak import mc, quadratic, twoline
+from tiebreak import cli, mc, quadratic, twoline
 from tiebreak.cli import main, parse_grid, parse_vector
 from tiebreak.covariance import CoefCovariance, design_covariance
 from tiebreak.designs import AssignmentDistribution, TieBreaker
@@ -63,6 +63,17 @@ class TestParsers:
             with pytest.raises(click.UsageError, match="must be finite"):
                 parse_grid(text)
 
+    def test_grid_size_is_bounded(self, monkeypatch):
+        # Refused before any point is built: (hi - lo) / step overflows in
+        # the first, and the second would hold 10^12 + 1 points.
+        for text in ("0:1e308:1e-308", "0:1:1e-12"):
+            with pytest.raises(click.UsageError, match="more than"):
+                parse_grid(text)
+        monkeypatch.setattr(cli, "GRID_POINT_LIMIT", 11)
+        assert len(parse_grid("0:1:0.1")) == 11
+        with pytest.raises(click.UsageError, match="more than 11 points"):
+            parse_grid("0:1:0.09")
+
     def test_vector(self):
         assert parse_vector("1,-2,0.5") == (1.0, -2.0, 0.5)
         with pytest.raises(click.UsageError):
@@ -112,6 +123,12 @@ class TestTwolineCurves:
         result = runner.invoke(main, ["twoline-curves", "--delta-grid", grid])
         assert result.exit_code == 2
         assert "must be finite" in result.output
+
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "0:1:1e-12"])
+    def test_oversized_grid_exits_2(self, runner, grid):
+        result = runner.invoke(main, ["twoline-curves", "--delta-grid", grid])
+        assert result.exit_code == 2
+        assert "more than" in result.output
 
 
 class TestGainVariance:

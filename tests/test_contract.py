@@ -351,13 +351,19 @@ ALLOWED = (tb.DomainError, tb.DegenerateDesignError)
 # Inputs that once escaped the contract, tried before the drawn ones.
 _SIGMA_RUNS = [(dict(rule=tb.TieBreaker(0.5), n=40, reps=20, sigma=sigma),)
                for sigma in SIGMA_EDGES]
+# Finite features whose F'F overflows.
+_HUGE = np.array([[1.0, 1e200, -1e200], [1.0, -1e200, 1e200],
+                  [1.0, 1e200, 1e200], [1.0, -1e200, -1e200]])
 PINNED = {
     "AssignmentDistribution": [("uniform-rank", 2.5)],
     "FeatureMatrix": [(np.ones((1, 2, 2)), False, True)],
     "SimReport": _SIGMA_RUNS,
     "SlidingScale": [(([np.nan, 0.0], [0.5, 0.5]), False)],
+    "design_search": [(_HUGE, [(0.0, 1.0, 0.0)], [0.5], [0.5], "trace", None)],
     "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan)],
+    "evaluate_design": [(_HUGE, ((0.0, 1.0, 0.0), 0.5, 0.5))],
     "experimentation_cost": [(0.5, 1e300, 1e300)],
+    "fully_randomized_covariance": [(_HUGE,)],
     "gain": [(0.5, [1.0, 2.0], 0.0), (0.5, 1.7e308, 1.7e308)],
     "ols_fit": [(np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, np.nan, 0.0]),
                 (np.ones((4, 0)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]),

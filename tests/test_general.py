@@ -487,6 +487,104 @@ def test_design_search_ranks_as_sorting_by_key(search, criterion):
         assert r.evaluation.cov_cross.tobytes() == cross[i].tobytes()
 
 
+# Rounding error of a log-det value in units of d cond(S) eps, S the
+# candidate's Schur complement on the worse-conditioned side: at most 3.8
+# under a row permutation and 13 under F -> F T over 300 search_grids
+# draws each.
+INVARIANCE_TOL = 100.0
+
+
+def _log_det_ranking(vals, thetas, grid, ps):
+    """{(theta, delta, p) index: (log-det value, cond(S))} of a log-det
+    design search, and its keys in rank order (empty when nothing is
+    feasible)."""
+    try:
+        results = design_search(vals, thetas, grid, ps, "log-det")
+    except NoFeasibleDesignError:
+        return {}, []
+    keys = [(r.theta_index, r.delta_index, r.p_index) for r in results]
+    return {key: (r.value, np.linalg.cond(r.evaluation.var_interaction))
+            for key, r in zip(keys, results)}, keys
+
+
+def _on_the_limit(vals, theta, delta, p, factor):
+    """Whether a candidate's worst condition, of A, of S or |A| / |S|, lies
+    within factor of the 1e12 feasibility limit."""
+    _, a, b, _ = brute_design(vals, theta, delta, p)
+    try:
+        s = a - b @ np.linalg.solve(a, b)
+        worst = max(np.linalg.cond(a), np.linalg.cond(s),
+                    np.abs(a).max() / max(np.abs(s).max(), 1e-300))
+    except np.linalg.LinAlgError:
+        worst = np.inf
+    return 1e12 / factor <= worst <= 1e12 * factor
+
+
+def _assert_same_ranking(search, other, shift, factor):
+    """The log-det search of other ranks as that of search, each value
+    shifted by shift. Both keep the same feasible candidates, but for those
+    within factor of the feasibility limit. Each value agrees within
+    INVARIANCE_TOL d cond(S) eps, and two candidates may swap places only
+    when their values tie within the sum of their tolerances: rounding
+    can reorder near-ties, nothing else."""
+    vals, thetas, grid, ps = search
+    want, want_order = _log_det_ranking(*search)
+    got, got_order = _log_det_ranking(*other)
+    for key in set(want) ^ set(got):
+        t, j, k = key
+        assert _on_the_limit(vals, thetas[t], grid[j], ps[k], factor), key
+    tol = {}
+    for key in set(want) & set(got):
+        tol[key] = (INVARIANCE_TOL * vals.shape[1] * np.finfo(float).eps
+                    * max(want[key][1], got[key][1]))
+        assert abs(got[key][0] - shift - want[key][0]) <= tol[key]
+    ranked = [key for key in want_order if key in tol]
+    place = {key: i for i, key in enumerate(k for k in got_order if k in tol)}
+    for i, first in enumerate(ranked):
+        for later in ranked[i + 1:]:
+            if place[later] < place[first]:
+                assert abs(want[later][0] - want[first][0]) <= tol[first] + tol[later]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(search_grids(), st.randoms(use_true_random=False))
+def test_design_search_is_invariant_to_row_order(search, random):
+    vals, thetas, grid, ps = search
+    order = list(range(len(vals)))
+    random.shuffle(order)
+    _assert_same_ranking(search, (vals[order], thetas, grid, ps), 0.0, 10.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(search_grids(), st.data())
+def test_design_search_log_det_shifts_under_reparametrization(search, data):
+    # F -> F T with T e1 = e1 keeps the intercept, and theta -> T^-1 theta
+    # keeps every score; Var(g-hat) becomes T^-1 V T^-T, so each log-det
+    # value shifts by -2 log|det T|. T scales columns by +-2^k, exact, and
+    # on quarter-integer features (no jitter) also shears by a unit upper
+    # triangle, exact too: the scores stay bitwise equal, so the arms do.
+    vals, thetas, grid, ps = search
+    d = vals.shape[1]
+    powers = data.draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                                min_size=d - 1, max_size=d - 1), label="scales")
+    scale = np.diag([1.0] + powers)
+    shear = np.eye(d)
+    if np.array_equal(4.0 * vals, np.round(4.0 * vals)):
+        rows, cols = np.triu_indices(d, 1)
+        shear[rows, cols] = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                               min_size=rows.size, max_size=rows.size),
+                                      label="shear")
+    t = shear @ scale
+    t_inv = np.diag(1.0 / np.diag(scale)) @ np.round(np.linalg.inv(shear))
+    assert np.array_equal(t @ t_inv, np.eye(d))
+    moved = [tuple(t_inv @ np.array(theta)) for theta in thetas]
+    for theta, back in zip(thetas, moved):
+        assert (vals @ np.array(theta)).tobytes() == ((vals @ t) @ np.array(back)).tobytes()
+    shift = -2.0 * np.log(np.abs(np.diag(scale)).prod())
+    _assert_same_ranking(search, (vals @ t, moved, grid, ps), shift,
+                         10.0 * np.linalg.cond(t) ** 2)
+
+
 def _first_bad_candidate(features, thetas, deltas, ps):
     """(type, message) of what building a search's candidates one at a time
     raises, or None: each rule by the public constructor, theta-major with

@@ -387,6 +387,49 @@ class TestRunSimulation:
         assert abs(paired.mean() - 1.0) < 1e-6
 
 
+class TestReplicateStreams:
+    """A run re-keys its one Philox before each replicate, which must then
+    draw the stream of a Philox built fresh with key (seed, rep)."""
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 63 - 1])
+    def test_rekeyed_stream_is_the_keyed_philox(self, seed, n):
+        for rep, rng in mc._replicate_streams(seed, [0, 1, 7, 2 ** 32 + 1, 1]):
+            fresh = np.random.Philox(key=[seed, rep])
+            got, want = rng.bit_generator.state, fresh.state
+            assert got["buffer_pos"] == want["buffer_pos"] == 4
+            assert got["has_uint32"] == want["has_uint32"] == 0
+            for name in ("counter", "key"):
+                assert got["state"][name].tobytes() == want["state"][name].tobytes()
+            want = np.random.Generator(fresh)
+            assert rng.random(n).tobytes() == want.random(n).tobytes()
+            assert rng.standard_normal(n).tobytes() == want.standard_normal(n).tobytes()
+            # Leave the next replicate a half-used uint32 and a part-used
+            # buffer.
+            rng.integers(0, 2 ** 32, dtype=np.uint32)
+            left = rng.bit_generator.state
+            assert left["has_uint32"] == 1 and left["buffer_pos"] < 4
+
+    @pytest.mark.parametrize("reps", [2, 37])
+    def test_a_run_builds_one_philox(self, monkeypatch, reps):
+        philox = np.random.Philox
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        config = mc.SimConfig(rule=TieBreaker(0.5), n=40, reps=reps, seed=9)
+        monkeypatch.setattr(np.random, "Philox", counted)
+        coefs, degenerate = mc._replicate_fits(config)
+        assert len(built) == 1
+        monkeypatch.undo()
+        # The oracle builds a fresh Philox(key=[seed, rep]) per replicate.
+        want, want_degenerate, _ = loop_replicate_fits(config)
+        np.testing.assert_array_equal(degenerate, want_degenerate)
+        assert _column_relative_gap(coefs, want) < 1e-12
+
+
 def _column_relative_gap(got, want):
     """Largest |got - want| per coefficient, relative to that coefficient's
     largest magnitude over the replicates."""
