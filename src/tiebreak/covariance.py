@@ -52,9 +52,13 @@ _MOMENT_SCALE = 15.0
 
 _SYM_TOL = 1e-12
 
-# Why schur_inverse refuses a design, in the order of its tests.
-_SCHUR_REASONS = ("feature Gram matrix is ill-conditioned", "singular normal equations",
-                  "design is ill-conditioned: expected arms nearly reproduce the features")
+# Why a design is refused, by refusal code: 0 accepts it, schur_inverse's
+# tests give 1 to 3 in their order, and the design search's arm checks 4
+# and 5.
+REFUSALS = (None, "feature Gram matrix is ill-conditioned", "singular normal equations",
+            "design is ill-conditioned: expected arms nearly reproduce the features",
+            "no treated subjects", "no control subjects")
+GRAM_REFUSED, SINGULAR, ARMS_REFUSED, NO_TREATED, NO_CONTROL = range(1, len(REFUSALS))
 
 
 def _check_finite(m: np.ndarray):
@@ -160,71 +164,65 @@ def schur_inverse(a: np.ndarray, b: np.ndarray):
     The condition number of A comes from its singular values; that of
     the complement, which is symmetrized first, from the magnitudes of
     its eigenvalues, which are its singular values.
-    A stack b (k, d, d), with a shared or stacked A, gives (V, C, reasons),
-    each item as its own 2-D call: reasons[i] is None or why V[i] is NaN.
+    The one A with a stack b (k, d, d) gives (V, C, codes), each item as
+    its own 2-D call: codes[i] is 0, or the index in REFUSALS of why V[i]
+    and C[i] are NaN. A refused A refuses every item.
     """
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if b.ndim == 2:
-        return _schur_pair(np.asarray(a, dtype=float), b)
+        return _schur_pair(a, b)
+    a_max = _gram_scale(a)
+    if a_max is None:
+        refused = np.full(b.shape, np.nan)
+        return refused, refused.copy(), np.full(len(b), GRAM_REFUSED)
     d = b.shape[-1]
-    a = np.asarray(a, dtype=float).reshape(-1, d, d)
-    b = b.reshape(-1, d, d)
-    # Degenerate items become the identity before each LAPACK call, which
-    # would otherwise fail the whole stack. cond is s_max / s_min: singular
-    # values of A (the caller's, so maybe not symmetric), and of the
-    # symmetrized Schur complement its eigenvalue magnitudes.
-    a_max = np.abs(a).max(axis=(1, 2))
-    gram_bad = ~((a_max > 0.0) & (a_max < np.inf))
-    if np.count_nonzero(gram_bad):
-        a = np.where(gram_bad[:, None, None], np.eye(d), a)
-    sv = np.linalg.svd(a, compute_uv=False)
-    gram_bad = gram_bad | (sv[:, -1] * CONDITION_LIMIT < sv[:, 0])
-    if np.count_nonzero(gram_bad):
-        a = np.where(gram_bad[:, None, None], np.eye(d), a)
     a_inv_b = np.linalg.solve(a, b)
     schur = a - b @ a_inv_b
     schur = 0.5 * (schur + schur.transpose(0, 2, 1))
     schur_max = np.abs(schur).max(axis=(1, 2))
+    # Degenerate items become the identity before each LAPACK call, which
+    # would otherwise fail the whole stack.
     singular = ~np.isfinite(schur_max)
-    if np.count_nonzero(singular):
-        schur = np.where(singular[:, None, None], np.eye(d), schur)
+    schur = np.where(singular[:, None, None], np.eye(d), schur)
     mags = np.abs(np.linalg.eigvalsh(schur))
     # cond is blind to scale: B = +-A (one arm for all) leaves a noise complement.
-    bad = (gram_bad | singular | (mags.min(axis=1) * CONDITION_LIMIT < mags.max(axis=1))
+    ill = ((mags.min(axis=1) * CONDITION_LIMIT < mags.max(axis=1))
            | (schur_max * CONDITION_LIMIT <= a_max))
-    degenerate = np.count_nonzero(bad) > 0
-    if degenerate:
-        schur = np.where(bad[:, None, None], np.eye(d), schur)
-    var = np.linalg.inv(schur)
+    codes = np.where(singular, SINGULAR, np.where(ill, ARMS_REFUSED, 0))
+    bad = codes > 0
+    var = np.linalg.inv(np.where(bad[:, None, None], np.eye(d), schur))
     var = 0.5 * (var + var.transpose(0, 2, 1))
     cross = -a_inv_b @ var
-    reasons = [None] * len(b)
-    if degenerate:
-        var[bad] = cross[bad] = np.nan
-        codes = np.where(gram_bad, 0, np.where(singular, 1, 2))
-        for i in np.flatnonzero(bad):
-            reasons[i] = _SCHUR_REASONS[codes[i]]
-    return var, cross, reasons
+    var[bad] = cross[bad] = np.nan
+    return var, cross, codes
+
+
+def _gram_scale(a: np.ndarray) -> float | None:
+    """max |A| of a usable Gram block A, else None: A is zero, not finite,
+    or its singular values (A may not be symmetric) exceed the cond limit."""
+    a_max = float(np.abs(a).max())
+    if not 0.0 < a_max < math.inf:
+        return None
+    sv = np.linalg.svd(a, compute_uv=False)
+    return None if sv[-1] * CONDITION_LIMIT < sv[0] else a_max
 
 
 def _schur_pair(a: np.ndarray, b: np.ndarray):
     """schur_inverse of one (A, B) pair: the stacked body's LAPACK calls
     and tests on one item, raising at the first test that fails."""
-    a_max = float(np.abs(a).max())
-    if not 0.0 < a_max < math.inf:
-        raise DegenerateDesignError(_SCHUR_REASONS[0])
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] * CONDITION_LIMIT < sv[0]:
-        raise DegenerateDesignError(_SCHUR_REASONS[0])
+    a_max = _gram_scale(a)
+    if a_max is None:
+        raise DegenerateDesignError(REFUSALS[GRAM_REFUSED])
     a_inv_b = np.linalg.solve(a, b)
     schur = a - b @ a_inv_b
     schur = 0.5 * (schur + schur.T)
     schur_max = float(np.abs(schur).max())
     if not math.isfinite(schur_max):
-        raise DegenerateDesignError(_SCHUR_REASONS[1])
+        raise DegenerateDesignError(REFUSALS[SINGULAR])
     mags = [abs(v) for v in np.linalg.eigvalsh(schur).tolist()]
     if min(mags) * CONDITION_LIMIT < max(mags) or schur_max * CONDITION_LIMIT <= a_max:
-        raise DegenerateDesignError(_SCHUR_REASONS[2])
+        raise DegenerateDesignError(REFUSALS[ARMS_REFUSED])
     var = np.linalg.inv(schur)
     var = 0.5 * (var + var.T)
     return var, -a_inv_b @ var

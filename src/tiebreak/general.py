@@ -15,13 +15,12 @@ for targeting with variance, and the search quantifies how much.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .covariance import schur_inverse
+from .covariance import NO_CONTROL, NO_TREATED, REFUSALS, schur_inverse
 from .designs import ScoreThresholdRule, _read_table, _score_rule_axes, _step
 from .errors import DomainError, NoFeasibleDesignError
 
@@ -197,12 +196,12 @@ def _window_blocks(vals: np.ndarray, scores: np.ndarray, grid: np.ndarray,
 
 def _candidates(vals: np.ndarray, thetas, deltas, ps):
     """Every (theta, delta, p) candidate, p varying fastest: the checked
-    axes, then Var(g-hat), Cov(b-hat, g-hat) and why each is infeasible
-    (None where it is feasible). A = F'F once, blocks of directions binned
-    per pass over the subjects, one stacked Schur inverse."""
+    axes, then Var(g-hat), Cov(b-hat, g-hat) and refusal codes (0 where
+    feasible, else an index in REFUSALS). A = F'F once, blocks of directions
+    binned per pass over the subjects, one stacked Schur inverse."""
     axes = thetas, deltas, ps = _score_rule_axes(thetas, deltas, ps)
     if not thetas:
-        return axes, None, None, []
+        return axes, None, None, np.zeros(0, np.intp)
     n, d = vals.shape
     grid, pick = np.unique(np.asarray(deltas), return_inverse=True)
     coins = 2.0 * np.asarray(ps) - 1.0
@@ -211,15 +210,12 @@ def _candidates(vals: np.ndarray, thetas, deltas, ps):
     blocks, empty = zip(*(_window_blocks(vals, _scores(vals, thetas[t:t + step]),
                                          grid, coins, gram)
                           for t in range(0, len(thetas), step)))
-    var, cross, reasons = schur_inverse(
+    var, cross, codes = schur_inverse(
         gram, np.concatenate(blocks)[:, pick].reshape(-1, d, d))
     empty = np.concatenate(empty)[:, :, pick].swapaxes(1, 2).reshape(-1, 2)
-    no_treated, no_control = np.repeat(empty, len(ps), axis=0).T.tolist()
-    reasons = ["no treated subjects" if none_treated else
-               "no control subjects" if none_control else reason
-               for none_treated, none_control, reason in zip(no_treated, no_control,
-                                                             reasons)]
-    return axes, var, cross, reasons
+    no_treated, no_control = np.repeat(empty, len(ps), axis=0).T
+    return axes, var, cross, np.where(no_treated, NO_TREATED,
+                                      np.where(no_control, NO_CONTROL, codes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,10 +230,13 @@ class DesignEvaluation:
 
     rule: ScoreThresholdRule
     n: int
-    feasible: bool
     reason: str | None = None
     var_interaction: np.ndarray | None = None
     cov_cross: np.ndarray | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.reason is None
 
     def _require_feasible(self) -> np.ndarray:
         if not self.feasible or self.var_interaction is None:
@@ -281,11 +280,11 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     Features so large that F'F overflows raise DomainError.
     """
     vals = _feature_values(features)
-    _, var, cross, (reason,) = _candidates(vals, [rule.theta], [rule.delta], [rule.p])
-    if reason:
-        return DesignEvaluation(rule=rule, n=vals.shape[0], feasible=False, reason=reason)
-    return DesignEvaluation(rule=rule, n=vals.shape[0], feasible=True,
-                            var_interaction=var[0], cov_cross=cross[0])
+    _, var, cross, (code,) = _candidates(vals, [rule.theta], [rule.delta], [rule.p])
+    if code:
+        return DesignEvaluation(rule=rule, n=vals.shape[0], reason=REFUSALS[code])
+    return DesignEvaluation(rule=rule, n=vals.shape[0], var_interaction=var[0],
+                            cov_cross=cross[0])
 
 
 def fully_randomized_covariance(features) -> np.ndarray:
@@ -319,17 +318,18 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     a bad argument, and DomainError, as evaluate_design does, for
     features so large that F'F overflows.
     """
-    if criterion not in CRITERIA:
-        raise DomainError(f"unknown criterion {criterion!r}; "
-                          f"choose from {', '.join(CRITERIA)}")
     vals = _feature_values(features)
-    (thetas, deltas, ps), var, cross, reasons = _candidates(vals, thetas, deltas, ps)
-    feasible = np.array([i for i, reason in enumerate(reasons) if reason is None],
-                        dtype=np.intp)
+    # An empty stack checks the criterion and its contrast, as
+    # criterion_value does, before any candidate is evaluated.
+    _criterion(np.empty((0, vals.shape[1], vals.shape[1])), criterion, contrast)
+    (thetas, deltas, ps), var, cross, codes = _candidates(vals, thetas, deltas, ps)
+    feasible = np.flatnonzero(codes == 0)
     if not feasible.size:
-        failed = Counter(reason.split(":")[0] for reason in reasons)
-        detail = ", ".join(f"{k} {reason}" for reason, k in failed.items())
-        raise NoFeasibleDesignError(f"no feasible design among {len(reasons)} "
+        # Counted by refusal, in the order each refusal first occurs.
+        failed, first, counts = np.unique(codes, return_index=True, return_counts=True)
+        detail = ", ".join(f"{counts[i]} {REFUSALS[failed[i]].split(':')[0]}"
+                           for i in np.argsort(first))
+        raise NoFeasibleDesignError(f"no feasible design among {len(codes)} "
                                     "candidates" + (f": {detail}" if detail else ""))
     values = _criterion(var[feasible], criterion, contrast)
     theta_index, rest = np.divmod(feasible, len(deltas) * len(ps))
@@ -341,7 +341,7 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     for value, i, t, j, k in zip(*(column[order].tolist() for column in (
             values, feasible, theta_index, delta_index, p_index))):
         rule = ScoreThresholdRule._trusted(thetas[t], deltas[j], ps[k])
-        evaluation = DesignEvaluation(rule=rule, n=n, feasible=True,
-                                      var_interaction=var[i], cov_cross=cross[i])
+        evaluation = DesignEvaluation(rule=rule, n=n, var_interaction=var[i],
+                                      cov_cross=cross[i])
         results.append(SearchResult(value, t, j, k, evaluation))
     return results

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # mc.TWOLINE and mc.QUADRATIC name the models for the CLI and other callers.
-from .covariance import (QUADRATIC, TWOLINE, CoefCovariance, design_covariance,
-                         model_spec, schur_inverse)
+from .covariance import (QUADRATIC, REFUSALS, TWOLINE, CoefCovariance,
+                         design_covariance, model_spec, schur_inverse)
 from .designs import (WINDOW_RULES, AssignmentDistribution, DesignRule,
                       SlidingScale, treatment_probability)
 from .errors import (DegenerateDesignError, DomainError, RankDeficientError)
@@ -137,21 +137,20 @@ def _fit_stacked(gram: np.ndarray, bz: np.ndarray, cf: np.ndarray, cz: np.ndarra
     Row r of bz, cf and cz holds replicate r's statistics from _reduce;
     gram = F'F is shared. Each block of _FIT_BLOCK replicates makes one
     stacked schur_inverse call, whose inverse [[V, C], [C', V]] gives the
-    coefficients (V cf + C cz, C'cf + V cz). Returns (coefs, reasons):
-    reasons[r] is None, or why replicate r's design was refused and its
-    row of coefs is NaN.
+    coefficients (V cf + C cz, C'cf + V cz). Returns (coefs, codes):
+    codes[r] is 0, or the index in REFUSALS of why replicate r's design
+    was refused and its row of coefs is NaN.
     """
     reps, d = cf.shape
     coefs = np.empty((reps, 2 * d))
-    reasons = []
+    codes = np.empty(reps, np.intp)
     for start in range(0, reps, _FIT_BLOCK):
         rows = slice(start, start + _FIT_BLOCK)
-        var, cross, why = schur_inverse(gram, bz[rows].reshape(-1, d, d))
+        var, cross, codes[rows] = schur_inverse(gram, bz[rows].reshape(-1, d, d))
         rhs_f, rhs_z = cf[rows, :, None], cz[rows, :, None]
         coefs[rows, :d] = (var @ rhs_f + cross @ rhs_z)[:, :, 0]
         coefs[rows, d:] = (cross.transpose(0, 2, 1) @ rhs_f + var @ rhs_z)[:, :, 0]
-        reasons += why
-    return coefs, reasons
+    return coefs, codes
 
 
 def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,9 +171,9 @@ def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DomainError("need a non-empty n x d finite feature array, n arms of "
                           "+1 or -1 and n finite outcomes")
     stats = _reduce(_products(f), f, z, y)
-    coefs, reasons = _fit_stacked(f.T @ f, *(s[None] for s in stats))
-    if reasons[0] is not None:
-        raise RankDeficientError(reasons[0])
+    coefs, codes = _fit_stacked(f.T @ f, *(s[None] for s in stats))
+    if codes[0]:
+        raise RankDeficientError(REFUSALS[codes[0]])
     return coefs[0]
 
 
@@ -322,11 +321,11 @@ def _replicate_fits(config: SimConfig):
         z = _draw_arms(rng, probs, config.scheme)
         y = _draw_outcomes(rng, config.n)
         bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)
-    coefs, reasons = _fit_stacked(features.T @ features, bz, cf, cz)
+    coefs, codes = _fit_stacked(features.T @ features, bz, cf, cz)
     order = model_spec(config.model)[1]
     if order is not None:
         coefs = coefs[:, order]
-    return coefs, np.array([r is not None for r in reasons])
+    return coefs, codes != 0
 
 
 def run_simulation(config: SimConfig) -> SimReport:

@@ -266,6 +266,16 @@ class TestSearch:
                                       "--criterion", "contrast"])
         assert result.exit_code == 2
 
+    def test_bad_contrast_exits_2_where_nothing_is_feasible(self, runner, features_csv):
+        # Every score is 1 under theta (1, 0): no candidate is feasible, yet
+        # a missing or malformed contrast is the usage error it reports.
+        for extra in ([], ["--contrast", "1,2,3"], ["--contrast", "0,nan"]):
+            result = runner.invoke(main, ["search", "--features", features_csv,
+                                          "--add-intercept", "--theta", "1,0",
+                                          "--criterion", "contrast"] + extra)
+            assert result.exit_code == 2
+            assert "contrast" in result.stderr
+
     def test_malformed_theta_exits_2(self, runner, features_csv):
         result = runner.invoke(main, ["search", "--features", features_csv,
                                       "--add-intercept", "--theta", "0;1"])

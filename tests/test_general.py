@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tiebreak import general
-from tiebreak.covariance import QUADRATIC, TWOLINE, design_covariance
+from tiebreak.covariance import QUADRATIC, REFUSALS, TWOLINE, design_covariance
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               ScoreThresholdRule, TieBreaker)
 from tiebreak.errors import (DegenerateDesignError, DomainError,
@@ -312,6 +312,37 @@ def test_design_search_no_feasible():
         design_search(fm, [(0.0, 1.0)], [])
 
 
+def test_design_search_checks_the_criterion_before_the_candidates():
+    # Every score is 1, so the one candidate has no control subjects; a
+    # bad criterion or contrast is still the error, not an empty ranking.
+    fm = FeatureMatrix.from_array(np.column_stack([np.ones(8), np.linspace(-1.0, 1.0, 8)]))
+    for kwargs, message in (({}, "needs a contrast vector"),
+                            ({"contrast": (1.0,)}, "must have 2 entries"),
+                            ({"contrast": (0.0, np.nan)}, "must be finite")):
+        with pytest.raises(DomainError, match=message):
+            design_search(fm, [(1.0, 0.0)], [0.5], criterion="contrast", **kwargs)
+    with pytest.raises(DomainError, match="unknown criterion"):
+        design_search(fm, [(1.0, 0.0)], [0.5], criterion="volume")
+    with pytest.raises(NoFeasibleDesignError, match="1 no control subjects$"):
+        design_search(fm, [(1.0, 0.0)], [0.5], criterion="contrast", contrast=(0.0, 1.0))
+
+
+def test_ill_conditioned_gram_is_refused_before_it_overflows():
+    # Finite features whose F'F is finite but ill-conditioned: A is refused
+    # for every candidate before B A^-1 B, which would overflow, is formed.
+    big = np.array([[1.0, 7.8e74, -2.5e74], [1.0, -3.1e74, 5.0e74], [1.0, 1.2e74, 6.4e74],
+                    [1.0, -6.6e74, -4.4e74], [1.0, 2.2e74, -7.1e74]])
+    with pytest.raises(NoFeasibleDesignError, match=re.escape(
+            "no feasible design among 2 candidates: 2 feature Gram matrix is "
+            "ill-conditioned")):
+        design_search(big, [(0.0, 1.0, 0.0)], [1e74, 1e75])
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+    huge = np.column_stack([np.ones(4), 1e150 * signs])
+    evaluation = evaluate_design(huge, ScoreThresholdRule((0.0, 1.0, 0.0), 0.5))
+    assert not evaluation.feasible
+    assert evaluation.reason == "feature Gram matrix is ill-conditioned"
+
+
 def test_design_search_tie_break_order():
     # Identical candidates tie exactly; earlier indices win.
     rng = np.random.default_rng(79)
@@ -382,19 +413,19 @@ def search_grids(draw):
 @given(search_grids())
 def test_design_search_matches_brute_force(search):
     vals, thetas, grid, ps = search
-    _, got_var, got_cross, reasons = _candidates(vals, thetas, grid, ps)
+    _, got_var, got_cross, codes = _candidates(vals, thetas, grid, ps)
     keys = [(ti, di, pi) for ti in range(len(thetas)) for di in range(len(grid))
             for pi in range(len(ps))]
-    assert len(reasons) == len(keys)
+    assert len(codes) == len(keys)
     classes = {}
     for i, (ti, di, pi) in enumerate(keys):
         theta, delta, p = thetas[ti], grid[di], ps[pi]
         reason, var, cross, cond = _brute_reason(vals, theta, delta, p)
         if reason == "borderline":
             continue
-        assert (reasons[i] is None) == (reason is None)
+        assert (codes[i] == 0) == (reason is None)
         if reason is not None:
-            assert reasons[i].split(":")[0] == reason
+            assert REFUSALS[codes[i]].split(":")[0] == reason
             continue
         # Both sides are accurate to about cond(G) * eps: over 5160 such
         # candidates checked against 50-digit arithmetic, the search erred by
@@ -413,7 +444,7 @@ def test_design_search_matches_brute_force(search):
             assert got_var[i].tobytes() == got_var[tied[0]].tobytes()
             assert got_cross[i].tobytes() == got_cross[tied[0]].tobytes()
 
-    feasible = {k for k, reason in zip(keys, reasons) if reason is None}
+    feasible = {k for k, code in zip(keys, codes) if code == 0}
     if not feasible:
         with pytest.raises(NoFeasibleDesignError):
             design_search(vals, thetas, grid, ps)
@@ -429,11 +460,12 @@ def test_design_search_matches_brute_force(search):
 
 
 def _candidate_bytes(vals, thetas, grid, ps):
-    """Each candidate's reason, or its Var(g-hat) and Cov(b-hat, g-hat) bytes."""
-    _, var, cross, reasons = _candidates(vals, thetas, grid, ps)
-    return [(reason, None, None) if reason else
-            (None, var[i].tobytes(), cross[i].tobytes())
-            for i, reason in enumerate(reasons)]
+    """Each candidate's refusal code, and its Var(g-hat) and Cov(b-hat,
+    g-hat) bytes where it is feasible."""
+    _, var, cross, codes = _candidates(vals, thetas, grid, ps)
+    return [(code, None, None) if code else
+            (0, var[i].tobytes(), cross[i].tobytes())
+            for i, code in enumerate(codes.tolist())]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -472,8 +504,8 @@ def test_design_search_ranks_as_sorting_by_key(search, criterion):
     # the candidate indices decide.
     vals, thetas, grid, ps = search
     contrast = np.arange(1.0, vals.shape[1] + 1.0) if criterion == "contrast" else None
-    _, var, cross, reasons = _candidates(vals, thetas, grid, ps)
-    feasible = [i for i, reason in enumerate(reasons) if reason is None]
+    _, var, cross, codes = _candidates(vals, thetas, grid, ps)
+    feasible = np.flatnonzero(codes == 0).tolist()
     assume(feasible)
     values = _criterion(var[feasible], criterion, contrast)
     per_theta = len(grid) * len(ps)

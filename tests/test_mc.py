@@ -135,6 +135,15 @@ class TestOlsFit:
                 with pytest.raises(RankDeficientError):
                     mc.ols_fit(mc.design_matrix(x, model), z, np.zeros(n))
 
+    def test_ill_conditioned_gram_is_rank_deficient(self):
+        # F'F is finite but ill-conditioned, and B A^-1 B would overflow:
+        # the fit is refused on A alone.
+        x = 1e152 * np.array([1.0, -0.5, 0.25, 0.75, -1.0, 0.5])
+        with pytest.raises(RankDeficientError,
+                           match="^feature Gram matrix is ill-conditioned$"):
+            mc.ols_fit(np.column_stack([np.ones(6), x]), [1, -1, 1, -1, 1, -1],
+                       np.arange(6.0))
+
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
