@@ -17,9 +17,9 @@ from .designs import (AssignmentDistribution, IntervalRule, ScoreThresholdRule,
                       treatment_probability)
 from .errors import (DegenerateDesignError, DomainError, NoFeasibleDesignError,
                      RankDeficientError)
-from .general import (DesignEvaluation, FeatureMatrix, SearchResult,
-                      design_search, evaluate_design, expected_weights,
-                      fully_randomized_covariance)
+from .general import (DesignEvaluation, FeatureMatrix, SearchReport,
+                      SearchResult, design_search, evaluate_design,
+                      expected_weights, fully_randomized_covariance)
 from .mc import (SimConfig, SimReport, closed_form_reference,
                  empirical_covariance, ols_fit, run_simulation)
 from .moments import (central_zx_mean, design_moments, gaussian_zx_mean,
@@ -40,7 +40,7 @@ __all__ = [
     "DesignEvaluation", "DomainError", "FeatureMatrix",
     "IntervalRule", "NoFeasibleDesignError",
     "QUADRATIC_LABELS", "RankDeficientError", "ScoreThresholdRule",
-    "SearchResult", "SimConfig", "SimReport", "SlidingScale",
+    "SearchReport", "SearchResult", "SimConfig", "SimReport", "SlidingScale",
     "SlidingVariances", "TWOLINE_LABELS", "ThreeLevelRule", "TieBreaker",
     "central_zx_mean", "closed_form_reference",
     "covariance_gaussian", "covariance_quadratic", "covariance_uniform",

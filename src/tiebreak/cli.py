@@ -17,6 +17,7 @@ import math
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import mc, quadratic, twoline
 from .covariance import design_covariance
@@ -239,13 +240,13 @@ def cmd_search(features_path, add_intercept, thetas, delta_grid, ps,
     contrast_vec = None if contrast is None else parse_vector(contrast, "--contrast")
     with _exit_codes():
         fm = FeatureMatrix.from_csv(features_path, add_intercept=add_intercept)
-        results = design_search(fm, theta_vecs, deltas, ps=ps,
-                                criterion=criterion, contrast=contrast_vec)
-    rows = []
-    for rank, res in enumerate(results, start=1):
-        rule = res.evaluation.rule
-        rows.append([rank, ",".join(repr(v) for v in rule.theta),
-                     rule.delta, rule.p, criterion, res.value])
+        report = design_search(fm, theta_vecs, deltas, ps=ps,
+                               criterion=criterion, contrast=contrast_vec)
+    columns = (report.values, report.theta_index, report.delta_index, report.p_index)
+    rows = [[rank, ",".join(repr(v) for v in report.thetas[t]), report.deltas[j],
+             report.ps[k], criterion, value]
+            for rank, (value, t, j, k) in enumerate(zip(*(c.tolist() for c in columns)),
+                                                    start=1)]
     emit_table(["rank", "theta", "delta", "p", "criterion", "value"], rows, out)
 
 
@@ -281,6 +282,7 @@ def cmd_simulate(model, distribution, delta, p, a, b, epsilon, scale_path,
 
     Exits 4 when any covariance entry misses its closed form by more
     than 4 standard errors, and 3 when the design itself is degenerate.
+    A --delta or --p that the chosen rule does not use exits 2.
     """
     if (a is None) != (b is None):
         raise click.UsageError("--a and --b must be given together")
@@ -290,6 +292,11 @@ def cmd_simulate(model, distribution, delta, p, a, b, epsilon, scale_path,
     if len(picked) > 1:
         raise click.UsageError(
             "at most one of --a/--b, --scale, --epsilon may be given")
+    source = click.get_current_context().get_parameter_source
+    for name, unused in (("delta", a is not None or scale_path is not None),
+                         ("p", scale_path is not None or epsilon is not None)):
+        if unused and source(name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"--{name} does not apply to the {picked[0]} rule")
     with _exit_codes():
         if scale_path is not None:
             rule = SlidingScale.from_csv(scale_path)

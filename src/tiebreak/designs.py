@@ -179,16 +179,6 @@ class ScoreThresholdRule:
         _check_p(self.p)
         object.__setattr__(self, "theta", theta)
 
-    @classmethod
-    def _trusted(cls, theta: tuple[float, ...], delta: float, p: float) -> "ScoreThresholdRule":
-        """A rule from parts that have passed the public constructor's
-        checks: theta as _score_theta returns it, delta and p floats."""
-        rule = object.__new__(cls)
-        object.__setattr__(rule, "theta", theta)
-        object.__setattr__(rule, "delta", delta)
-        object.__setattr__(rule, "p", p)
-        return rule
-
     @property
     def theta_array(self) -> np.ndarray:
         return np.asarray(self.theta, dtype=float)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .covariance import NO_CONTROL, NO_TREATED, REFUSALS, schur_inverse
 from .designs import ScoreThresholdRule, _read_table, _score_rule_axes, _step
-from .errors import DomainError, NoFeasibleDesignError
+from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
 
 CRITERIA = ("trace", "log-det", "contrast")
 
@@ -220,36 +220,27 @@ def _candidates(vals: np.ndarray, thetas, deltas, ps):
 
 @dataclass(frozen=True, eq=False)
 class DesignEvaluation:
-    """Outcome of evaluating one threshold rule on a feature matrix.
+    """Precision of one feasible threshold rule on a feature matrix.
 
     var_interaction is Var(g-hat) per unit noise variance (so it scales
     like 1/n; multiply by n to compare against population formulas).
-    cov_cross is Cov(b-hat, g-hat). Infeasible evaluations carry a
-    reason instead of matrices.
+    cov_cross is Cov(b-hat, g-hat).
     """
 
     rule: ScoreThresholdRule
     n: int
-    reason: str | None = None
-    var_interaction: np.ndarray | None = None
-    cov_cross: np.ndarray | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.reason is None
-
-    def _require_feasible(self) -> np.ndarray:
-        if not self.feasible or self.var_interaction is None:
-            raise DomainError(f"design is infeasible: {self.reason}")
-        return self.var_interaction
+    var_interaction: np.ndarray
+    cov_cross: np.ndarray
 
     def criterion_value(self, criterion: str,
                         contrast: Sequence[float] | None = None) -> float:
-        return float(_criterion(self._require_feasible(), criterion, contrast))
+        return float(_criterion(self.var_interaction, criterion, contrast))
 
 
 def _criterion(var: np.ndarray, criterion: str, contrast=None):
     """A precision criterion of Var(g-hat), for one matrix or a stack."""
+    if contrast is not None and criterion in ("trace", "log-det"):
+        raise DomainError(f"the {criterion} criterion takes no contrast vector")
     if criterion == "trace":
         return np.trace(var, axis1=-2, axis2=-1)
     if criterion == "log-det":
@@ -274,17 +265,16 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     """Precision of the interaction fit under one threshold rule.
 
     Var(g-hat) = (A - B A^-1 B)^-1 and Cov(b-hat, g-hat)
-    = -A^-1 B Var(g-hat), per unit noise variance. Degenerate rules
-    (everyone on one arm, or a collapsed Gram matrix) come back
-    infeasible with a reason; nothing here raises for a bad design.
-    Features so large that F'F overflows raise DomainError.
+    = -A^-1 B Var(g-hat), per unit noise variance. A degenerate rule
+    (everyone on one arm, or a collapsed Gram matrix) raises
+    DegenerateDesignError with the reason the search counts it under,
+    and features so large that F'F overflows raise DomainError.
     """
     vals = _feature_values(features)
     _, var, cross, (code,) = _candidates(vals, [rule.theta], [rule.delta], [rule.p])
     if code:
-        return DesignEvaluation(rule=rule, n=vals.shape[0], reason=REFUSALS[code])
-    return DesignEvaluation(rule=rule, n=vals.shape[0], var_interaction=var[0],
-                            cov_cross=cross[0])
+        raise DegenerateDesignError(REFUSALS[code])
+    return DesignEvaluation(rule, vals.shape[0], var[0], cross[0])
 
 
 def fully_randomized_covariance(features) -> np.ndarray:
@@ -306,13 +296,48 @@ class SearchResult:
     evaluation: DesignEvaluation
 
 
+@dataclass(frozen=True, eq=False)
+class SearchReport:
+    """The feasible candidates of a design search, best first, as arrays.
+
+    values and the theta_index, delta_index and p_index into the checked
+    axes thetas, deltas and ps hold one entry per feasible candidate;
+    var_interaction and cov_cross stack their Var(g-hat) and Cov(b-hat,
+    g-hat), (k, d, d), for n subjects. refused counts the other candidates
+    by reason, in the order each reason first occurs. report[i] builds the
+    i-th SearchResult, so list(report) is the whole ranking.
+    """
+
+    values: np.ndarray
+    theta_index: np.ndarray
+    delta_index: np.ndarray
+    p_index: np.ndarray
+    var_interaction: np.ndarray
+    cov_cross: np.ndarray
+    thetas: tuple[tuple[float, ...], ...]
+    deltas: tuple[float, ...]
+    ps: tuple[float, ...]
+    n: int
+    refused: dict[str, int]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i) -> SearchResult:
+        t, j, k = (int(index[i]) for index in (self.theta_index, self.delta_index,
+                                                self.p_index))
+        rule = ScoreThresholdRule(self.thetas[t], self.deltas[j], self.ps[k])
+        return SearchResult(float(self.values[i]), t, j, k, DesignEvaluation(
+            rule, self.n, self.var_interaction[i], self.cov_cross[i]))
+
+
 def design_search(features, thetas: Sequence[Sequence[float]],
                   deltas: Sequence[float], ps: Sequence[float] = (0.5,),
                   criterion: str = "trace",
-                  contrast: Sequence[float] | None = None) -> list[SearchResult]:
+                  contrast: Sequence[float] | None = None) -> SearchReport:
     """Rank every (theta, delta, p) candidate by a precision criterion.
 
-    Returns feasible candidates sorted ascending (smaller is better),
+    Returns the feasible candidates sorted ascending (smaller is better),
     ties broken by candidate order. Raises NoFeasibleDesignError when
     nothing survives, so callers can distinguish an empty ranking from
     a bad argument, and DomainError, as evaluate_design does, for
@@ -323,12 +348,13 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     # criterion_value does, before any candidate is evaluated.
     _criterion(np.empty((0, vals.shape[1], vals.shape[1])), criterion, contrast)
     (thetas, deltas, ps), var, cross, codes = _candidates(vals, thetas, deltas, ps)
+    # Counted by refusal, in the order each refusal first occurs.
+    failed, first, counts = np.unique(codes[codes != 0], return_index=True,
+                                      return_counts=True)
+    refused = {REFUSALS[failed[i]].split(":")[0]: int(counts[i]) for i in np.argsort(first)}
     feasible = np.flatnonzero(codes == 0)
     if not feasible.size:
-        # Counted by refusal, in the order each refusal first occurs.
-        failed, first, counts = np.unique(codes, return_index=True, return_counts=True)
-        detail = ", ".join(f"{counts[i]} {REFUSALS[failed[i]].split(':')[0]}"
-                           for i in np.argsort(first))
+        detail = ", ".join(f"{count} {reason}" for reason, count in refused.items())
         raise NoFeasibleDesignError(f"no feasible design among {len(codes)} "
                                     "candidates" + (f": {detail}" if detail else ""))
     values = _criterion(var[feasible], criterion, contrast)
@@ -336,12 +362,7 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     delta_index, p_index = np.divmod(rest, len(ps))
     # Ascending by the key (value, theta, delta, p), which is total.
     order = np.lexsort((p_index, delta_index, theta_index, values))
-    n = vals.shape[0]
-    results = []
-    for value, i, t, j, k in zip(*(column[order].tolist() for column in (
-            values, feasible, theta_index, delta_index, p_index))):
-        rule = ScoreThresholdRule._trusted(thetas[t], deltas[j], ps[k])
-        evaluation = DesignEvaluation(rule=rule, n=n, var_interaction=var[i],
-                                      cov_cross=cross[i])
-        results.append(SearchResult(value, t, j, k, evaluation))
-    return results
+    ranked = feasible[order]
+    return SearchReport(values[order], theta_index[order], delta_index[order],
+                        p_index[order], var[ranked], cross[ranked], tuple(thetas),
+                        tuple(deltas), tuple(ps), vals.shape[0], refused)

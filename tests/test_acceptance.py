@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from tiebreak import (AssignmentDistribution, FeatureMatrix, IntervalRule,
-                      ScoreThresholdRule, SlidingScale, TieBreaker, mc)
+from tiebreak import (AssignmentDistribution, DegenerateDesignError, FeatureMatrix,
+                      IntervalRule, ScoreThresholdRule, SlidingScale, TieBreaker, mc)
 from tiebreak.general import evaluate_design, fully_randomized_covariance
 from tiebreak.moments import design_moments, sliding_moments
 from tiebreak.sliding import (full_covariance_sliding, symmetrize,
@@ -169,8 +169,9 @@ def test_criterion_09_randomization_floor():
         for _ in range(20):
             theta = tuple(rng.normal(size=d))
             delta = float(rng.uniform(0.0, 1.0))
-            ev = evaluate_design(fm, ScoreThresholdRule(theta, delta))
-            if not ev.feasible:
+            try:
+                ev = evaluate_design(fm, ScoreThresholdRule(theta, delta))
+            except DegenerateDesignError:
                 continue
             feasible += 1
             gap = np.linalg.eigvalsh(ev.var_interaction - floor)[0]

@@ -6,9 +6,9 @@ PUBLIC = {
     "AssignmentDistribution", "CoefCovariance", "DegenerateDesignError",
     "DesignEvaluation", "DomainError", "FeatureMatrix", "IntervalRule",
     "NoFeasibleDesignError", "QUADRATIC_LABELS", "RankDeficientError",
-    "ScoreThresholdRule", "SearchResult", "SimConfig", "SimReport",
-    "SlidingScale", "SlidingVariances", "TWOLINE_LABELS", "ThreeLevelRule",
-    "TieBreaker", "central_zx_mean", "closed_form_reference",
+    "ScoreThresholdRule", "SearchReport", "SearchResult", "SimConfig",
+    "SimReport", "SlidingScale", "SlidingVariances", "TWOLINE_LABELS",
+    "ThreeLevelRule", "TieBreaker", "central_zx_mean", "closed_form_reference",
     "covariance_gaussian", "covariance_quadratic", "covariance_uniform",
     "design_covariance", "design_moments", "design_search", "efficiency_vs_rdd",
     "empirical_covariance", "equivalent_tiebreaker", "evaluate_design",
@@ -22,7 +22,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(tiebreak.__all__) == len(PUBLIC) == 52
+    assert len(tiebreak.__all__) == len(PUBLIC) == 53
     assert set(tiebreak.__all__) == PUBLIC
 
 

@@ -276,6 +276,44 @@ class TestSearch:
             assert result.exit_code == 2
             assert "contrast" in result.stderr
 
+    @pytest.mark.parametrize("criterion", ["trace", "log-det", "contrast"])
+    def test_tables_are_the_report_rows(self, runner, features_csv, criterion):
+        contrast = (1.0, 2.0) if criterion == "contrast" else None
+        report = tiebreak.design_search(
+            tiebreak.FeatureMatrix.from_csv(features_csv, add_intercept=True),
+            [(0.0, 1.0), (0.25, 1.0), (-0.5, 2.0), (1.0, 0.0)],
+            parse_grid("0:1:0.125"), ps=(0.5, 0.75), criterion=criterion,
+            contrast=contrast)
+        want = [[rank, ",".join(repr(v) for v in r.evaluation.rule.theta),
+                 r.evaluation.rule.delta, r.evaluation.rule.p, criterion, r.value]
+                for rank, r in enumerate(report, start=1)]
+        args = ["search", "--features", features_csv, "--add-intercept",
+                "--theta", "0,1", "--theta", "0.25,1", "--theta", "-0.5,2",
+                "--theta", "1,0", "--delta-grid", "0:1:0.125", "--p", "0.5",
+                "--p", "0.75", "--criterion", criterion]
+        if contrast:
+            args += ["--contrast", "1,2"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        cols, rows = _rows(result.output)
+        assert cols == ["rank", "theta", "delta", "p", "criterion", "value"]
+        assert rows == [[str(cell) if isinstance(cell, (int, str)) else repr(cell)
+                         for cell in row] for row in want]
+        result = runner.invoke(main, args + ["--out", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"columns": cols, "rows": want}
+
+    @pytest.mark.parametrize("criterion", ["trace", "log-det"])
+    @pytest.mark.parametrize("contrast", ["0,1", "1,2,3"])
+    def test_contrast_with_another_criterion_exits_2(self, runner, features_csv,
+                                                     criterion, contrast):
+        result = runner.invoke(main, ["search", "--features", features_csv,
+                                      "--add-intercept", "--theta", "0,1",
+                                      "--criterion", criterion, "--contrast", contrast])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"the {criterion} criterion takes no contrast vector" in result.stderr
+
     def test_malformed_theta_exits_2(self, runner, features_csv):
         result = runner.invoke(main, ["search", "--features", features_csv,
                                       "--add-intercept", "--theta", "0;1"])
@@ -346,6 +384,41 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--a", "-0.2", "--b", "0.4",
                                       "--epsilon", "0.1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flags, unused", [
+        (["--a", "0.1", "--b", "0.5", "--delta", "0.3"], "--delta"),
+        (["--a", "0.1", "--b", "0.5", "--delta", "0.5"], "--delta"),
+        (["--scale", "SCALE", "--delta", "0.3"], "--delta"),
+        (["--scale", "SCALE", "--p", "0.7"], "--p"),
+        (["--epsilon", "0.1", "--p", "0.9"], "--p"),
+    ])
+    def test_flags_the_rule_does_not_use_exit_2(self, runner, tmp_path, flags, unused):
+        # A flag given on the command line counts even at its default value.
+        path = tmp_path / "scale.csv"
+        path.write_text("x,p\n-1.0,0.0\n1.0,1.0\n")
+        flags = [str(path) if f == "SCALE" else f for f in flags]
+        result = runner.invoke(main, ["simulate", "--n", "40", "--reps", "4"] + flags)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"{unused} does not apply to the" in result.stderr
+
+    @pytest.mark.parametrize("flags, rule", [
+        (["--delta", "0.3", "--p", "0.7"],
+         {"type": "TieBreaker", "delta": 0.3, "p": 0.7}),
+        (["--a", "0.1", "--b", "0.5", "--p", "0.7"],
+         {"type": "IntervalRule", "a": 0.1, "b": 0.5, "p": 0.7}),
+        (["--delta", "0.3", "--epsilon", "0.1"],
+         {"type": "ThreeLevelRule", "delta": 0.3, "epsilon": 0.1}),
+        (["--scale", "SCALE"], {"type": "SlidingScale", "x": [-1.0, 1.0], "p": [0.0, 1.0]}),
+    ])
+    def test_each_rule_runs_with_its_own_flags(self, runner, tmp_path, flags, rule):
+        path = tmp_path / "scale.csv"
+        path.write_text("x,p\n-1.0,0.0\n1.0,1.0\n")
+        flags = [str(path) if f == "SCALE" else f for f in flags]
+        result = runner.invoke(main, ["simulate", "--n", "400", "--reps", "80",
+                                      "--out", "json"] + flags)
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["rule"] == rule
 
     def test_degenerate_design_exits_3(self, runner):
         result = runner.invoke(main, ["simulate", "--delta", "1", "--n", "4",

@@ -105,9 +105,9 @@ def thetas_for(d):
 
 @st.composite
 def score_rules(draw, d):
-    return tb.ScoreThresholdRule._trusted(
-        tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))),
-        draw(st.floats(0.0, 3.0)), draw(st.floats(0.05, 0.95)))
+    theta = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d).filter(any))
+    return tb.ScoreThresholdRule(tuple(theta), draw(st.floats(0.0, 3.0)),
+                                 draw(st.floats(0.05, 0.95)))
 
 
 @st.composite
@@ -192,6 +192,18 @@ def ranking(results, criterion=None, contrast=None):
                               rtol=1e-12, atol=0.0)
 
 
+def search_report(out):
+    """The report's arrays share its length, and it refused the rest."""
+    candidates, report = out
+    k, d = len(report), report.var_interaction.shape[-1]
+    expect(isinstance(report, tb.SearchReport) and k > 0
+           and k + sum(report.refused.values()) == candidates
+           and report.cov_cross.shape == (k, d, d) == report.var_interaction.shape
+           and all(len(column) == k for column in (report.values, report.theta_index,
+                                                   report.delta_index, report.p_index)),
+           report.values, report.var_interaction, report.cov_cross)
+
+
 _GRID = np.column_stack([np.ones(12), np.linspace(-1.0, 1.0, 12), np.cos(np.arange(12.0))])
 contrasts = st.one_of(st.none(), st.lists(real, min_size=2, max_size=4))
 
@@ -235,6 +247,12 @@ CONTRACT = {
                      lambda out: expect(True, *vars(out).values())),
     "ScoreThresholdRule": (st.tuples(thetas_for(2), real, unit), tb.ScoreThresholdRule,
                            lambda out: expect(True, *vars(out).values())),
+    "SearchReport": (
+        st.tuples(st.sampled_from(CRITERIA), contrasts),
+        lambda criterion, contrast: (6, _search(
+            _GRID, [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)], [0.0, 0.5, 2.0], (0.5,),
+            criterion, contrast)),
+        search_report),
     "SearchResult": (
         st.tuples(st.sampled_from(CRITERIA), contrasts),
         lambda criterion, contrast: (criterion, contrast, _search(
@@ -288,8 +306,9 @@ CONTRACT = {
                               lambda out: expect(isinstance(out, float) and 0.0 <= out <= 1.0)),
     "evaluate_design": (
         features_and_rule(), lambda features, parts: tb.evaluate_design(features, _rule(parts)),
-        lambda out: (expect(True, out.var_interaction, out.cov_cross) if out.feasible
-                     else expect(isinstance(out.reason, str)))),
+        lambda out: expect(out.var_interaction.shape == out.cov_cross.shape
+                           == (len(out.rule.theta),) * 2, out.var_interaction,
+                           out.cov_cross)),
     "expected_weights": (
         features_and_rule(),
         lambda features, parts: (len(features), tb.expected_weights(features, _rule(parts))),
@@ -359,7 +378,9 @@ PINNED = {
     "FeatureMatrix": [(np.ones((1, 2, 2)), False, True)],
     "SimReport": _SIGMA_RUNS,
     "SlidingScale": [(([np.nan, 0.0], [0.5, 0.5]), False)],
-    "design_search": [(_HUGE, [(0.0, 1.0, 0.0)], [0.5], [0.5], "trace", None)],
+    "SearchReport": [("trace", None), ("contrast", [1.0, 0.0, 2.0])],
+    "design_search": [(_HUGE, [(0.0, 1.0, 0.0)], [0.5], [0.5], "trace", None),
+                      (_GRID, [(0.0, 1.0, 0.0)], [0.5, 2.0], [0.5], "log-det", None)],
     "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan)],
     "evaluate_design": [(_HUGE, ((0.0, 1.0, 0.0), 0.5, 0.5))],
     "experimentation_cost": [(0.5, 1e300, 1e300)],

@@ -10,9 +10,10 @@ from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               ScoreThresholdRule, TieBreaker)
 from tiebreak.errors import (DegenerateDesignError, DomainError,
                              NoFeasibleDesignError)
-from tiebreak.general import (CRITERIA, FeatureMatrix, _candidates, _criterion,
-                              _window_blocks, design_search, evaluate_design,
-                              expected_weights, fully_randomized_covariance)
+from tiebreak.general import (CRITERIA, DesignEvaluation, FeatureMatrix,
+                              _candidates, _criterion, _window_blocks,
+                              design_search, evaluate_design, expected_weights,
+                              fully_randomized_covariance)
 from tiebreak.mc import SimConfig, design_matrix, run_simulation
 from tiebreak.twoline import covariance_uniform
 
@@ -166,7 +167,6 @@ def test_evaluate_against_joint_gram_inverse():
         theta[-1] = 1.0
         rule = ScoreThresholdRule(tuple(theta), 0.6)
         ev = evaluate_design(fm, rule)
-        assert ev.feasible
         *_, joint = brute_design(fm.values, theta, 0.6, 0.5)
         np.testing.assert_allclose(ev.var_interaction, joint[d:, d:],
                                    atol=1e-10 * np.abs(joint).max())
@@ -176,27 +176,26 @@ def test_evaluate_against_joint_gram_inverse():
 
 def test_infeasible_reasons():
     fm = FeatureMatrix.from_array(np.array([[1.0, 0.5], [1.0, 1.5]]))
-    all_treated = evaluate_design(fm, ScoreThresholdRule((1.0, 0.0), 0.0))
-    assert not all_treated.feasible
-    assert "no control" in all_treated.reason
-    all_control = evaluate_design(fm, ScoreThresholdRule((-1.0, 0.0), 0.0))
-    assert not all_control.feasible
-    assert "no treated" in all_control.reason
-    with pytest.raises(DomainError):
-        all_control.criterion_value("trace")
+    with pytest.raises(DegenerateDesignError, match="^no control subjects$"):
+        evaluate_design(fm, ScoreThresholdRule((1.0, 0.0), 0.0))
+    with pytest.raises(DegenerateDesignError, match="^no treated subjects$"):
+        evaluate_design(fm, ScoreThresholdRule((-1.0, 0.0), 0.0))
+    # Nor can an evaluation without matrices be built by hand.
+    with pytest.raises(TypeError):
+        DesignEvaluation(ScoreThresholdRule((-1.0, 0.0), 0.0), 2)
 
     # Duplicated column: the feature Gram itself collapses.
     dup = FeatureMatrix(("intercept", "copy"), np.ones((20, 2)))
-    degenerate = evaluate_design(dup, ScoreThresholdRule((0.0, 1.0), 10.0))
-    assert not degenerate.feasible
-    assert "ill-conditioned" in degenerate.reason
+    with pytest.raises(DegenerateDesignError,
+                       match="^feature Gram matrix is ill-conditioned$"):
+        evaluate_design(dup, ScoreThresholdRule((0.0, 1.0), 10.0))
 
     # Deterministic arms that exactly track a feature column collapse
     # the Schur complement instead.
     x = np.linspace(-1, 1, 50)
     fm2 = FeatureMatrix.from_array(np.column_stack([np.ones(50), np.sign(x)]))
-    mirrored = evaluate_design(fm2, ScoreThresholdRule((0.0, 1.0), 0.5))
-    assert not mirrored.feasible
+    with pytest.raises(DegenerateDesignError, match="^design is ill-conditioned: "):
+        evaluate_design(fm2, ScoreThresholdRule((0.0, 1.0), 0.5))
 
 
 def test_rct_is_psd_floor():
@@ -208,8 +207,6 @@ def test_rct_is_psd_floor():
     for delta in (0.0, 0.5, 1.5):
         rule = ScoreThresholdRule((0.0, 1.0, 0.3), delta)
         ev = evaluate_design(fm, rule)
-        if not ev.feasible:
-            continue
         gap = ev.var_interaction - floor
         assert np.linalg.eigvalsh(gap)[0] >= -1e-9
 
@@ -297,6 +294,17 @@ def test_design_search_criteria():
         design_search(fm, thetas, [0.5], criterion="volume")
 
 
+def test_a_contrast_is_refused_by_the_other_criteria():
+    fm = FeatureMatrix.from_array(np.column_stack([np.ones(8), np.linspace(-1.0, 1.0, 8)]))
+    evaluation = evaluate_design(fm, ScoreThresholdRule((0.0, 1.0), 0.5))
+    # Of the wrong length or not, a contrast is refused, not ignored.
+    for criterion in ("trace", "log-det"):
+        for contrast in ([1.0], [0.0, 1.0]):
+            with pytest.raises(DomainError, match=f"^the {criterion} criterion takes "
+                                                  "no contrast vector$"):
+                evaluation.criterion_value(criterion, contrast)
+
+
 def test_design_search_no_feasible():
     fm = FeatureMatrix.from_array(np.array([[1.0, 2.0], [1.0, 3.0]]))
     with pytest.raises(NoFeasibleDesignError):
@@ -323,6 +331,10 @@ def test_design_search_checks_the_criterion_before_the_candidates():
             design_search(fm, [(1.0, 0.0)], [0.5], criterion="contrast", **kwargs)
     with pytest.raises(DomainError, match="unknown criterion"):
         design_search(fm, [(1.0, 0.0)], [0.5], criterion="volume")
+    for criterion in ("trace", "log-det"):
+        with pytest.raises(DomainError, match=f"^the {criterion} criterion takes no "
+                                              "contrast vector$"):
+            design_search(fm, [(1.0, 0.0)], [0.5], criterion=criterion, contrast=(0.0, 1.0))
     with pytest.raises(NoFeasibleDesignError, match="1 no control subjects$"):
         design_search(fm, [(1.0, 0.0)], [0.5], criterion="contrast", contrast=(0.0, 1.0))
 
@@ -338,9 +350,9 @@ def test_ill_conditioned_gram_is_refused_before_it_overflows():
         design_search(big, [(0.0, 1.0, 0.0)], [1e74, 1e75])
     signs = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
     huge = np.column_stack([np.ones(4), 1e150 * signs])
-    evaluation = evaluate_design(huge, ScoreThresholdRule((0.0, 1.0, 0.0), 0.5))
-    assert not evaluation.feasible
-    assert evaluation.reason == "feature Gram matrix is ill-conditioned"
+    with pytest.raises(DegenerateDesignError,
+                       match="^feature Gram matrix is ill-conditioned$"):
+        evaluate_design(huge, ScoreThresholdRule((0.0, 1.0, 0.0), 0.5))
 
 
 def test_design_search_tie_break_order():
@@ -445,18 +457,31 @@ def test_design_search_matches_brute_force(search):
             assert got_cross[i].tobytes() == got_cross[tied[0]].tobytes()
 
     feasible = {k for k, code in zip(keys, codes) if code == 0}
+    # The refused candidates counted by reason, in order of first occurrence.
+    refused = {}
+    for code in codes[codes != 0].tolist():
+        reason = REFUSALS[code].split(":")[0]
+        refused[reason] = refused.get(reason, 0) + 1
     if not feasible:
-        with pytest.raises(NoFeasibleDesignError):
+        detail = ", ".join(f"{count} {reason}" for reason, count in refused.items())
+        with pytest.raises(NoFeasibleDesignError, match=re.escape(detail) + "$"):
             design_search(vals, thetas, grid, ps)
         return
-    results = design_search(vals, thetas, grid, ps)
-    assert {(r.theta_index, r.delta_index, r.p_index) for r in results} == feasible
-    for r in results:
+    report = design_search(vals, thetas, grid, ps)
+    assert list(report.refused.items()) == list(refused.items())
+    assert {(r.theta_index, r.delta_index, r.p_index) for r in report} == feasible
+    for i, r in enumerate(report):
         assert r.value == r.evaluation.criterion_value("trace")
         assert r.evaluation.rule == ScoreThresholdRule(
             thetas[r.theta_index], grid[r.delta_index], ps[r.p_index])
-    assert [(r.value, r.theta_index, r.delta_index, r.p_index) for r in results] == \
-        sorted((r.value, r.theta_index, r.delta_index, r.p_index) for r in results)
+        # Row i of the arrays, bit for bit.
+        assert np.float64(r.value).tobytes() == report.values[i].tobytes()
+        assert (r.theta_index, r.delta_index, r.p_index) == (
+            report.theta_index[i], report.delta_index[i], report.p_index[i])
+        assert r.evaluation.var_interaction.tobytes() == report.var_interaction[i].tobytes()
+        assert r.evaluation.cov_cross.tobytes() == report.cov_cross[i].tobytes()
+    assert [(r.value, r.theta_index, r.delta_index, r.p_index) for r in report] == \
+        sorted((r.value, r.theta_index, r.delta_index, r.p_index) for r in report)
 
 
 def _candidate_bytes(vals, thetas, grid, ps):
@@ -688,6 +713,7 @@ def test_array_holding_results_compare_by_identity():
     for make in (lambda: covariance_uniform(0.3),
                  lambda: FeatureMatrix.from_array(features),
                  lambda: evaluate_design(features, ScoreThresholdRule((0.0, 1.0), 0.5)),
+                 lambda: design_search(features, [(0.0, 1.0)], [0.5]),
                  lambda: run_simulation(config)):
         one, twin = make(), make()
         assert one == one and one != twin
