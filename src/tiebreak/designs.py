@@ -234,7 +234,9 @@ class SlidingScale:
     Tabulated scales are evaluated by linear interpolation between knots
     with constant extension beyond the first and last knot. Values must
     lie in [0, 1]; monotonicity is typical for real designs but not
-    required (the |x| scale is a useful counterexample).
+    required (the |x| scale is a useful counterexample). Every scale is
+    probed when built, and every value it returns is checked: one
+    probability per x, finite and in [0, 1] up to 1e-12, or DomainError.
     """
 
     def __init__(self, func: Callable[[np.ndarray], np.ndarray],
@@ -244,17 +246,8 @@ class SlidingScale:
         if not all(map(math.isfinite, self._breakpoints)):
             raise DomainError("scale breakpoints must be finite")
         self._table = None
-        self._validate_range()
-
-    def _validate_range(self):
-        probe = np.union1d(np.linspace(-1.0, 1.0, 257),
-                           np.asarray(self._breakpoints, dtype=float))
-        probe = probe[(probe >= -1.0) & (probe <= 1.0)]
-        vals = self(probe)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("scale produced non-finite probabilities")
-        if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
-            raise DomainError("scale values must lie in [0, 1]")
+        probe = np.union1d(np.linspace(-1.0, 1.0, 257), self._breakpoints)
+        self(probe[(probe >= -1.0) & (probe <= 1.0)])
 
     @classmethod
     def from_callable(cls, func: Callable, breakpoints: Sequence[float] = ()) -> "SlidingScale":
@@ -264,8 +257,7 @@ class SlidingScale:
         moments integrate each piece between breakpoints with a fixed
         Gauss-Legendre rule and refuse a piece on which func is not smooth.
         """
-        vec = np.vectorize(func, otypes=[float])
-        return cls(lambda x: vec(x), breakpoints)
+        return cls(np.vectorize(func, otypes=[float]), breakpoints)
 
     @classmethod
     def from_table(cls, x: Sequence[float], p: Sequence[float]) -> "SlidingScale":
@@ -284,12 +276,7 @@ class SlidingScale:
         ps = ps.copy()
         xs.setflags(write=False)
         ps.setflags(write=False)
-        # The knots are finite and the p values in [0, 1]; linear
-        # interpolation with constant extension stays within [min p, max p],
-        # so the range probe of the public constructor cannot fail.
-        scale = object.__new__(cls)
-        scale._func = lambda t: np.interp(t, xs, ps)
-        scale._breakpoints = tuple(xs.tolist())
+        scale = cls(lambda t: np.interp(t, xs, ps), xs)
         scale._table = (xs, ps)
         return scale
 
@@ -313,6 +300,12 @@ class SlidingScale:
     def __call__(self, x):
         arr = _check_finite(x, "x")
         out = np.asarray(self._func(arr), dtype=float)
+        if out.shape != arr.shape:
+            raise DomainError("a scale must return one probability per x")
+        if out.size and not (out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12):
+            raise DomainError("scale produced non-finite probabilities"
+                              if not np.isfinite(out).all()
+                              else "scale values must lie in [0, 1]")
         return float(out) if arr.ndim == 0 else out
 
     @property

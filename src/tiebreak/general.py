@@ -107,9 +107,18 @@ def _scores(vals: np.ndarray, thetas) -> np.ndarray:
     return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
+def _check_score_rule(rule):
+    """Refuse any rule but a ScoreThresholdRule, which assigns on a
+    feature score; the other rules assign on x."""
+    if not isinstance(rule, ScoreThresholdRule):
+        raise DomainError(f"cannot assign a feature table by a {type(rule).__name__}: "
+                          "it takes a ScoreThresholdRule")
+
+
 def expected_weights(features, rule: ScoreThresholdRule) -> np.ndarray:
     """Expected arm E[z_i] for each subject under the threshold rule:
     +1 / -1 outside the window, 2p - 1 inside."""
+    _check_score_rule(rule)
     scores = _scores(_feature_values(features), [rule.theta])[0]
     return _step(scores, -rule.delta, rule.delta, -1.0, 2.0 * rule.p - 1.0, 1.0)
 
@@ -268,8 +277,10 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     = -A^-1 B Var(g-hat), per unit noise variance. A degenerate rule
     (everyone on one arm, or a collapsed Gram matrix) raises
     DegenerateDesignError with the reason the search counts it under,
-    and features so large that F'F overflows raise DomainError.
+    and features so large that F'F overflows raise DomainError, as does
+    any rule but a ScoreThresholdRule.
     """
+    _check_score_rule(rule)
     vals = _feature_values(features)
     _, var, cross, (code,) = _candidates(vals, [rule.theta], [rule.delta], [rule.p])
     if code:

@@ -179,6 +179,13 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
     return full, w
 
 
+def _scale_moments(scale):
+    """(E[x^k], E[w x^k]) of a sliding scale, anything else refused."""
+    if not isinstance(scale, SlidingScale):
+        raise DomainError("expected a SlidingScale")
+    return design_moments(scale)
+
+
 def sliding_moments(scale: SlidingScale) -> DesignMoments:
     """Moments of a sliding scale on the uniform rank scale.
 
@@ -186,7 +193,5 @@ def sliding_moments(scale: SlidingScale) -> DesignMoments:
     rule) bound the Gauss-Legendre panels, so no node sits on a jump or
     kink; one left undeclared raises DomainError.
     """
-    if not isinstance(scale, SlidingScale):
-        raise DomainError("expected a SlidingScale")
-    _, w = design_moments(scale)
+    _, w = _scale_moments(scale)
     return DesignMoments(float(w[0]), float(w[1]), float(w[2]))

@@ -17,16 +17,9 @@ import numpy as np
 from .covariance import CoefCovariance, moment_covariance
 from .designs import SlidingScale
 from .errors import DomainError
-from .moments import design_moments
+from .moments import _scale_moments
 
 _BALANCE_TOL = 1e-6
-
-
-def _scale_moments(scale):
-    """(E[x^k], E[w x^k]) of a sliding scale, anything else refused."""
-    if not isinstance(scale, SlidingScale):
-        raise DomainError("expected a SlidingScale")
-    return design_moments(scale)
 
 
 def _require_balanced(w_mom: np.ndarray):

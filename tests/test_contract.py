@@ -11,11 +11,14 @@ and 3 in magnitude, so no product or square of them leaves the float
 range, except in the rows of the closed forms that take unbounded reals:
 those also draw magnitudes up to 1e300, whose products overflow and must
 raise DomainError rather than warn. The simulator's sigma is drawn the
-same way, and from both sides of its accepted range.
+same way, and from both sides of its accepted range. A sliding scale
+that passes its construction probe yet is NaN or infinite between the
+probe points must make every call that integrates it raise DomainError.
 """
 
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -80,7 +83,43 @@ def scales(draw):
     return tb.symmetrize(scale) if draw(st.booleans()) else scale
 
 
+# SlidingScale probes [-1, 1] at the multiples of 1/PROBE_STEPS when built.
+PROBE_STEPS = 128
+# The scales made by spoiled_scale: each call that integrates one must
+# raise DomainError.
+SPOILED = weakref.WeakSet()
+
+
+def spoiled_scale(lo, hi, bad, base):
+    """A callable scale that is base off (lo, hi) and on the probe grid,
+    and bad (NaN or +inf) everywhere else on (lo, hi): it passes its
+    construction probe, and its values there must be refused when used."""
+    def func(t):
+        return bad if lo < t < hi and (t * PROBE_STEPS) % 1.0 else base(t)
+    scale = tb.SlidingScale.from_callable(func)
+    SPOILED.add(scale)
+    return scale
+
+
+@st.composite
+def spoiled_scales(draw):
+    """Scales that construct, yet are NaN or +inf between the probe points
+    of an interval at least 4/PROBE_STEPS wide: wide enough to hold a
+    quadrature node."""
+    lo = draw(st.integers(-PROBE_STEPS, PROBE_STEPS - 4))
+    hi = draw(st.integers(lo + 4, PROBE_STEPS))
+    return spoiled_scale(lo / PROBE_STEPS, hi / PROBE_STEPS,
+                         draw(st.sampled_from([np.nan, np.inf])),
+                         _logistic(draw(st.floats(-6.0, 6.0)), draw(st.floats(-0.5, 0.5))))
+
+
+# The scale of the motivating probe: NaN on (0.1201, 0.124), which holds
+# no probe point.
+_SPOILED = spoiled_scale(0.1201, 0.124, np.nan, lambda t: 0.5)
+
 scale_args = st.one_of(scales(), st.sampled_from([tb.TieBreaker(0.5), 0.5, None]))
+# The rows that integrate a scale also take spoiled ones.
+integrated_scale_args = st.one_of(scale_args, spoiled_scales())
 
 
 @st.composite
@@ -125,7 +164,8 @@ SIGMA_EDGES = [1e-300, 1e-150, 1e-100, 1e100, 1e160, 1e300]
 
 @st.composite
 def sim_parts(draw):
-    return dict(rule=draw(st.one_of(window_rules(), scales())), model=draw(models),
+    return dict(rule=draw(st.one_of(window_rules(), scales(), spoiled_scales())),
+                model=draw(models),
                 distribution=draw(distributions.filter(bool)),
                 n=draw(st.integers(2, 24) | st.sampled_from([2.5, np.int64(12)])),
                 reps=draw(st.integers(0, 8)), seed=draw(st.integers(-1, 5)),
@@ -174,7 +214,8 @@ def square(out):
 
 
 def _rule(parts):
-    return tb.ScoreThresholdRule(*parts)
+    """A ScoreThresholdRule from drawn parts; a pinned rule passes as is."""
+    return tb.ScoreThresholdRule(*parts) if isinstance(parts, tuple) else parts
 
 
 def _search(features, thetas, deltas, ps, criterion, contrast):
@@ -271,7 +312,7 @@ CONTRACT = {
             tb.SlidingScale(lambda x: np.interp(x, np.sort(table[0]), table[1]), table[0])),
         probability_scale),
     "SlidingVariances": (
-        st.tuples(scale_args), tb.variances_sliding,
+        st.tuples(integrated_scale_args), tb.variances_sliding,
         lambda out: expect(out.var_slope > 0.0, out.var_level, out.var_slope)),
     "ThreeLevelRule": (st.tuples(real, unit), tb.ThreeLevelRule,
                        lambda out: expect(True, *vars(out).values())),
@@ -287,10 +328,12 @@ CONTRACT = {
     "covariance_uniform": (st.tuples(unit, st.booleans()), tb.covariance_uniform,
                            covariance),
     "design_covariance": (
-        st.tuples(st.one_of(window_rules(), scales()), distributions, models),
+        st.tuples(st.one_of(window_rules(), scales(), spoiled_scales()), distributions,
+                  models),
         tb.design_covariance, covariance),
     "design_moments": (
-        st.tuples(st.one_of(window_rules(), scales(), score_rules(2)), distributions),
+        st.tuples(st.one_of(window_rules(), scales(), spoiled_scales(), score_rules(2)),
+                  distributions),
         tb.design_moments, lambda out: expect(out[0].shape == out[1].shape == (5,), *out)),
     "design_search": (
         st.tuples(feature_arrays(), st.lists(thetas_for(3), max_size=2),
@@ -302,7 +345,7 @@ CONTRACT = {
         st.tuples(st.integers(0, 4).flatmap(lambda k: st.lists(
             st.lists(real, min_size=k, max_size=k), min_size=1, max_size=4)), real),
         tb.empirical_covariance, square),
-    "equivalent_tiebreaker": (st.tuples(scale_args), tb.equivalent_tiebreaker,
+    "equivalent_tiebreaker": (st.tuples(integrated_scale_args), tb.equivalent_tiebreaker,
                               lambda out: expect(isinstance(out, float) and 0.0 <= out <= 1.0)),
     "evaluate_design": (
         features_and_rule(), lambda features, parts: tb.evaluate_design(features, _rule(parts)),
@@ -314,7 +357,7 @@ CONTRACT = {
         lambda features, parts: (len(features), tb.expected_weights(features, _rule(parts))),
         lambda out: expect(out[1].shape == (out[0],) and np.all(np.abs(out[1]) <= 1.0))),
     "experimentation_cost": (broadcast(unit, wide, wide), tb.experimentation_cost, None),
-    "full_covariance_sliding": (st.tuples(scale_args), tb.full_covariance_sliding,
+    "full_covariance_sliding": (st.tuples(integrated_scale_args), tb.full_covariance_sliding,
                                 lambda out: covariance(out, 4)),
     "fully_randomized_covariance": (st.tuples(feature_arrays()),
                                     tb.fully_randomized_covariance, square),
@@ -322,7 +365,7 @@ CONTRACT = {
     "gaussian_zx_mean": (broadcast(unit), tb.gaussian_zx_mean, None),
     "min_delta_for_fraction": (st.tuples(unit), tb.min_delta_for_fraction,
                                lambda out: expect(0.0 <= out <= 1.0)),
-    "moment_determinant": (st.tuples(scale_args), tb.moment_determinant,
+    "moment_determinant": (st.tuples(integrated_scale_args), tb.moment_determinant,
                            lambda out: expect(isinstance(out, float), out)),
     "noncentral_covariance": (st.tuples(real, real, unit, st.booleans()),
                               tb.noncentral_covariance, covariance),
@@ -339,7 +382,7 @@ CONTRACT = {
     "precision": (broadcast(unit), tb.precision, None),
     "run_simulation": (st.tuples(sim_parts()), lambda parts: tb.run_simulation(tb.SimConfig(**parts)),
                        report),
-    "sliding_moments": (st.tuples(scale_args), tb.sliding_moments,
+    "sliding_moments": (st.tuples(integrated_scale_args), tb.sliding_moments,
                         lambda out: expect(True, out.z_mean, out.zx_mean, out.zx2_mean)),
     "subject_ranks": (
         st.tuples(st.lists(real, max_size=5) | st.just([[0.0, 1.0]])),
@@ -360,16 +403,24 @@ CONTRACT = {
                            lambda delta, xs: (xs[0], tb.var_gain_quadratic(delta, xs[0])),
                            lambda out: shaped(out[1], out[0])),
     "variances_sliding": (
-        st.tuples(scale_args), tb.variances_sliding,
+        st.tuples(integrated_scale_args), tb.variances_sliding,
         lambda out: expect(isinstance(out, tb.SlidingVariances) and out.var_level > 0.0,
                            out.var_level, out.var_slope)),
 }
 
 ALLOWED = (tb.DomainError, tb.DegenerateDesignError)
+# The rows whose call integrates a scale argument: given a spoiled scale,
+# each must raise DomainError.
+INTEGRATES = {"SimReport", "SlidingVariances", "closed_form_reference", "design_covariance",
+              "design_moments", "equivalent_tiebreaker", "full_covariance_sliding",
+              "moment_determinant", "run_simulation", "sliding_moments", "variances_sliding"}
 
 # Inputs that once escaped the contract, tried before the drawn ones.
 _SIGMA_RUNS = [(dict(rule=tb.TieBreaker(0.5), n=40, reps=20, sigma=sigma),)
                for sigma in SIGMA_EDGES]
+# The rules that assign on x, which a feature table refuses.
+_NOT_SCORE_RULES = [(_GRID, tb.TieBreaker(0.5)),
+                    (_GRID, tb.SlidingScale.from_table([-1, 1], [0, 1]))]
 # Finite features whose F'F overflows.
 _HUGE = np.array([[1.0, 1e200, -1e200], [1.0, -1e200, 1e200],
                   [1.0, 1e200, 1e200], [1.0, -1e200, -1e200]])
@@ -382,15 +433,20 @@ PINNED = {
     "design_search": [(_HUGE, [(0.0, 1.0, 0.0)], [0.5], [0.5], "trace", None),
                       (_GRID, [(0.0, 1.0, 0.0)], [0.5, 2.0], [0.5], "log-det", None)],
     "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan)],
-    "evaluate_design": [(_HUGE, ((0.0, 1.0, 0.0), 0.5, 0.5))],
+    "design_moments": [(_SPOILED, None)],
+    "evaluate_design": [(_HUGE, ((0.0, 1.0, 0.0), 0.5, 0.5))] + _NOT_SCORE_RULES,
+    "expected_weights": _NOT_SCORE_RULES,
     "experimentation_cost": [(0.5, 1e300, 1e300)],
+    "full_covariance_sliding": [(_SPOILED,)],
     "fully_randomized_covariance": [(_HUGE,)],
     "gain": [(0.5, [1.0, 2.0], 0.0), (0.5, 1.7e308, 1.7e308)],
+    "moment_determinant": [(_SPOILED,)],
     "ols_fit": [(np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, np.nan, 0.0]),
                 (np.ones((4, 0)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]),
                 (np.ones((0, 2)), [], []), (np.ones((1, 1)), [1.0], [0.0])],
     "optimal_delta": [(np.float64(1e308), np.float64(1e-308))],
-    "run_simulation": _SIGMA_RUNS,
+    "run_simulation": _SIGMA_RUNS + [(dict(rule=_SPOILED, n=40, reps=20),)],
+    "sliding_moments": [(_SPOILED,)],
     "treatment_probability": [((np.nan,), tb.SlidingScale.from_table([-1, 1], [0, 1]), None)],
     "value": [(0.5, 1.0, [1.0, 2.0], 0.0), (0.5, 1.0, np.array([1.0, 2.0]), 0.0),
               (0.5, 1.0, 1.7e308, 1.7e308)],
@@ -414,12 +470,17 @@ def test_public_contract(name):
     allowed = ALLOWED + ((tb.NoFeasibleDesignError,) if "search" in name.lower() else ())
 
     def holds(args):
+        spoiled = name in INTEGRATES and any(
+            isinstance(arg, tb.SlidingScale) and arg in SPOILED
+            for arg in (args[0].values() if isinstance(args[0], dict) else args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 out = call(*args)
-            except allowed:
+            except allowed as exc:
+                assert not spoiled or isinstance(exc, tb.DomainError), exc
                 return
+        assert not spoiled, out
         (check or (lambda out: shaped(out, *args)))(out)
 
     for args in PINNED.get(name, []):

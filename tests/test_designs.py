@@ -228,6 +228,16 @@ def test_sliding_scale_from_callable_range_check():
     assert 0.0 < scale(-0.3) < 0.5 < scale(0.3) < 1.0
 
 
+def test_scale_returning_one_value_for_an_array_is_refused():
+    with pytest.raises(DomainError, match="one probability per x"):
+        SlidingScale(lambda x: 0.5)
+    # Past the construction probe, every value is checked where it is used.
+    scale = SlidingScale.from_callable(lambda t: np.nan if 0.1201 < t < 0.124 else 0.5)
+    assert scale(0.125) == 0.5
+    with pytest.raises(DomainError, match="non-finite probabilities"):
+        scale(np.array([0.0, 0.122]))
+
+
 @pytest.mark.parametrize("scale", [
     SlidingScale.from_table([-1.0, 1.0], [0.0, 1.0]),
     SlidingScale.from_callable(lambda x: 0.5 * (1 + np.tanh(2 * x))),

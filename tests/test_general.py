@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tiebreak import general
+from tiebreak import general, mc
 from tiebreak.covariance import QUADRATIC, REFUSALS, TWOLINE, design_covariance
 from tiebreak.designs import (AssignmentDistribution, IntervalRule,
                               ScoreThresholdRule, TieBreaker)
@@ -172,6 +172,49 @@ def test_evaluate_against_joint_gram_inverse():
                                    atol=1e-10 * np.abs(joint).max())
         np.testing.assert_allclose(ev.cov_cross, joint[:d, d:],
                                    atol=1e-10 * np.abs(joint).max())
+
+
+MC_REPS = 4000
+
+
+def _mc_feature_covariance(vals, rule, seed):
+    """Covariance of the [b-hat | g-hat] coefficients over MC_REPS
+    replicates: arms drawn with Pr(z = +1) = (1 + E[z])/2 and unit noise,
+    by the simulator's own streams, reduction and stacked fit."""
+    probs = 0.5 * (1.0 + expected_weights(vals, rule))
+    products = mc._products(vals)
+    d = vals.shape[1]
+    bz, cf, cz = np.empty((MC_REPS, d * d)), np.empty((MC_REPS, d)), np.empty((MC_REPS, d))
+    for rep, rng in mc._replicate_streams(seed, range(MC_REPS)):
+        z = mc._draw_arms(rng, probs, mc.SIMPLE_RANDOM)
+        bz[rep], cf[rep], cz[rep] = mc._reduce(products, vals, z,
+                                               mc._draw_outcomes(rng, len(vals)))
+    coefs, codes = mc._fit_stacked(vals.T @ vals, bz, cf, cz)
+    assert not codes.any()
+    return np.cov(coefs, rowvar=False)
+
+
+def _max_dev_se(empirical, features, rule):
+    """max |empirical - [[V, C], [C', V]]| in run_simulation's SE units,
+    V and C from evaluate_design."""
+    ev = evaluate_design(features, rule)
+    ref = np.block([[ev.var_interaction, ev.cov_cross],
+                    [ev.cov_cross.T, ev.var_interaction]])
+    se = np.sqrt((np.outer(np.diag(ref), np.diag(ref)) + ref ** 2) / MC_REPS)
+    return np.max(np.abs(empirical - ref) / se)
+
+
+def test_evaluate_design_agrees_with_monte_carlo():
+    vals = random_features(np.random.default_rng(20), 500, 3).values
+    rules = [ScoreThresholdRule((0.0, 1.0, 0.5), 0.6, 0.5),
+             ScoreThresholdRule((0.2, 0.3, 1.0), 0.3, 0.7),
+             ScoreThresholdRule((0.0, 1.0, 0.0), 0.0)]
+    empirical = [_mc_feature_covariance(vals, rule, seed) for seed, rule in enumerate(rules)]
+    for cov, rule in zip(empirical, rules):
+        assert _max_dev_se(cov, vals, rule) <= 4.0, rule
+    # Negative control: a reference built with the wrong p is refused.
+    wrong = ScoreThresholdRule(rules[1].theta, rules[1].delta, 0.5)
+    assert _max_dev_se(empirical[1], vals, wrong) > 4.0
 
 
 def test_infeasible_reasons():
@@ -551,12 +594,11 @@ def test_design_search_ranks_as_sorting_by_key(search, criterion):
 INVARIANCE_TOL = 100.0
 
 
-def _log_det_ranking(vals, thetas, grid, ps):
-    """{(theta, delta, p) index: (log-det value, cond(S))} of a log-det
-    design search, and its keys in rank order (empty when nothing is
-    feasible)."""
+def _ranking(vals, thetas, grid, ps, criterion="log-det", contrast=None):
+    """{(theta, delta, p) index: (value, cond(S))} of a design search, and
+    its keys in rank order (empty when nothing is feasible)."""
     try:
-        results = design_search(vals, thetas, grid, ps, "log-det")
+        results = design_search(vals, thetas, grid, ps, criterion, contrast)
     except NoFeasibleDesignError:
         return {}, []
     keys = [(r.theta_index, r.delta_index, r.p_index) for r in results]
@@ -577,23 +619,27 @@ def _on_the_limit(vals, theta, delta, p, factor):
     return 1e12 / factor <= worst <= 1e12 * factor
 
 
-def _assert_same_ranking(search, other, shift, factor):
-    """The log-det search of other ranks as that of search, each value
-    shifted by shift. Both keep the same feasible candidates, but for those
-    within factor of the feasibility limit. Each value agrees within
-    INVARIANCE_TOL d cond(S) eps, and two candidates may swap places only
+def _assert_same_ranking(search, other, shift, factor, criterion="log-det",
+                         contrasts=(None, None)):
+    """The criterion's search of other, with the second contrast, ranks as
+    that of search, with the first, each value shifted by shift. Both keep
+    the same feasible candidates, but for those within factor of the
+    feasibility limit. Each value agrees within INVARIANCE_TOL d cond(S)
+    eps, times the value for the contrast criterion (a log-det value's
+    error is already relative), and two candidates may swap places only
     when their values tie within the sum of their tolerances: rounding
     can reorder near-ties, nothing else."""
     vals, thetas, grid, ps = search
-    want, want_order = _log_det_ranking(*search)
-    got, got_order = _log_det_ranking(*other)
+    want, want_order = _ranking(*search, criterion, contrasts[0])
+    got, got_order = _ranking(*other, criterion, contrasts[1])
     for key in set(want) ^ set(got):
         t, j, k = key
         assert _on_the_limit(vals, thetas[t], grid[j], ps[k], factor), key
     tol = {}
     for key in set(want) & set(got):
+        size = 1.0 if criterion == "log-det" else max(abs(want[key][0]), abs(got[key][0]))
         tol[key] = (INVARIANCE_TOL * vals.shape[1] * np.finfo(float).eps
-                    * max(want[key][1], got[key][1]))
+                    * max(want[key][1], got[key][1]) * size)
         assert abs(got[key][0] - shift - want[key][0]) <= tol[key]
     ranked = [key for key in want_order if key in tol]
     place = {key: i for i, key in enumerate(k for k in got_order if k in tol)}
@@ -640,6 +686,10 @@ def test_design_search_log_det_shifts_under_reparametrization(search, data):
     shift = -2.0 * np.log(np.abs(np.diag(scale)).prod())
     _assert_same_ranking(search, (vals @ t, moved, grid, ps), shift,
                          10.0 * np.linalg.cond(t) ** 2)
+    # c' Var(g-hat) c is unmoved when c becomes T'c.
+    c = np.arange(1.0, d + 1.0)
+    _assert_same_ranking(search, (vals @ t, moved, grid, ps), 0.0,
+                         10.0 * np.linalg.cond(t) ** 2, "contrast", (c, t.T @ c))
 
 
 def _first_bad_candidate(features, thetas, deltas, ps):
