@@ -15,8 +15,7 @@ from .covariance import (CoefCovariance, QUADRATIC_LABELS, TWOLINE_LABELS,
 from .designs import (AssignmentDistribution, IntervalRule, ScoreThresholdRule,
                       SlidingScale, ThreeLevelRule, TieBreaker, subject_ranks,
                       treatment_probability)
-from .errors import (DegenerateDesignError, DomainError, NoFeasibleDesignError,
-                     RankDeficientError)
+from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
 from .general import (DesignEvaluation, FeatureMatrix, SearchReport,
                       SearchResult, design_search, evaluate_design,
                       expected_weights, fully_randomized_covariance)
@@ -39,7 +38,7 @@ __all__ = [
     "AssignmentDistribution", "CoefCovariance", "DegenerateDesignError",
     "DesignEvaluation", "DomainError", "FeatureMatrix",
     "IntervalRule", "NoFeasibleDesignError",
-    "QUADRATIC_LABELS", "RankDeficientError", "ScoreThresholdRule",
+    "QUADRATIC_LABELS", "ScoreThresholdRule",
     "SearchReport", "SearchResult", "SimConfig", "SimReport", "SlidingScale",
     "SlidingVariances", "TWOLINE_LABELS", "ThreeLevelRule", "TieBreaker",
     "central_zx_mean", "closed_form_reference",

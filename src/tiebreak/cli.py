@@ -17,6 +17,7 @@ import math
 import sys
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from . import mc, quadratic, twoline
@@ -134,15 +135,16 @@ def cmd_twoline_curves(delta_grid, distribution, out):
     dist = AssignmentDistribution(distribution)
     with _exit_codes():
         rdd_effect_var = float(twoline.var_gain_at_x(0.0, 0.0, dist))
+        efficiency = rdd_effect_var / twoline.var_gain_at_x(deltas, 0.0, dist)
         rows = []
-        for d in deltas:
+        for d, eff in zip(deltas, efficiency.tolist()):
             cov = design_covariance(TieBreaker(float(d)), dist)
             rows.append([
                 d,
                 cov.var("beta0"), cov.var("beta1"),
                 cov.var("beta2"), cov.var("beta3"),
                 cov.cov("beta0", "beta3"), cov.cov("beta1", "beta2"),
-                rdd_effect_var / float(twoline.var_gain_at_x(d, 0.0, dist)),
+                eff,
             ])
     emit_table(["delta", "n_var_beta0", "n_var_beta1", "n_var_beta2",
                 "n_var_beta3", "n_cov_beta0_beta3", "n_cov_beta1_beta2",
@@ -167,13 +169,11 @@ def cmd_gain_variance(delta_grid, x_grid, model, distribution, out):
         raise click.UsageError("the quadratic model is analysed on the "
                                "uniform rank scale only")
     with _exit_codes():
-        rows = []
-        for d in deltas:
-            if model == mc.TWOLINE:
-                vs = twoline.var_gain_at_x(d, xs, dist)
-            else:
-                vs = quadratic.var_gain_quadratic(d, xs)
-            rows.extend([d, x, float(v)] for x, v in zip(xs, vs))
+        if model == mc.TWOLINE:
+            table = twoline.var_gain_at_x(np.asarray(deltas)[:, None], xs, dist)
+        else:
+            table = [quadratic.var_gain_quadratic(d, xs) for d in deltas]
+        rows = [[d, x, float(v)] for d, vs in zip(deltas, table) for x, v in zip(xs, vs)]
     emit_table(["delta", "x", "n_var_gain"], rows, out)
 
 

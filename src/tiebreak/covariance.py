@@ -89,9 +89,12 @@ class CoefCovariance:
             raise DomainError("label count must equal matrix dimension")
         _check_finite(m)
         scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > _SYM_TOL * scale:
+        # Halves first, so that near the float limit neither the test nor
+        # the mean overflows; bitwise 0.5 (m +- m') everywhere else.
+        half = 0.5 * m
+        if np.abs(half - half.T).max() > 0.5 * _SYM_TOL * scale:
             raise DomainError("covariance matrix is not symmetric")
-        m = 0.5 * (m + m.T)
+        m = half + half.T
         _check_definite(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -133,11 +136,17 @@ class CoefCovariance:
         return float(self.matrix[self.index(label_a), self.index(label_b)])
 
     def quadratic_form(self, weights) -> float:
-        """N * Var of the linear combination sum_j weights[j] * coef_j."""
+        """N * Var of the linear combination sum_j weights[j] * coef_j.
+        Weights that are not finite, or so large that the form overflows,
+        raise DomainError."""
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.dim,):
             raise DomainError("weight vector length must equal dimension")
-        return float(w @ self.matrix @ w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = float(w @ self.matrix @ w)
+        if not math.isfinite(form):
+            raise DomainError("weights must be finite, and the form must not overflow")
+        return form
 
     def to_dict(self) -> dict:
         return {
@@ -155,23 +164,18 @@ def model_spec(model: str) -> tuple[tuple[str, ...], tuple[int, ...] | None]:
 
 
 def schur_inverse(a: np.ndarray, b: np.ndarray):
-    """(V, C) of the joint fit with Gram [[A, B], [B, A]].
+    """(V, C, codes) of the joint fits with Gram [[A, B_i], [B_i, A]], for
+    one d x d A and a stack b (k, d, d).
 
-    V = (A - B A^-1 B)^-1 is the covariance of the interaction
-    coefficients and C = -A^-1 B V their covariance with the baseline
-    ones. Raises DegenerateDesignError, with the reason, when A or the
-    Schur complement is ill-conditioned, singular or negligible next to A.
-    The condition number of A comes from its singular values; that of
-    the complement, which is symmetrized first, from the magnitudes of
-    its eigenvalues, which are its singular values.
-    The one A with a stack b (k, d, d) gives (V, C, codes), each item as
-    its own 2-D call: codes[i] is 0, or the index in REFUSALS of why V[i]
-    and C[i] are NaN. A refused A refuses every item.
+    V_i = (A - B_i A^-1 B_i)^-1 is the covariance of the interaction
+    coefficients and C_i = -A^-1 B_i V_i their covariance with the
+    baseline ones. codes[i] is 0, or the index in REFUSALS of why V_i and
+    C_i are NaN: A or the Schur complement is ill-conditioned, singular or
+    negligible next to A. A refused A refuses every item. The condition
+    number of A comes from its singular values; that of a complement,
+    which is symmetrized first, from the magnitudes of its eigenvalues,
+    which are its singular values. _schur_pair is the one-item body.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        return _schur_pair(a, b)
     a_max = _gram_scale(a)
     if a_max is None:
         refused = np.full(b.shape, np.nan)
@@ -198,6 +202,15 @@ def schur_inverse(a: np.ndarray, b: np.ndarray):
     return var, cross, codes
 
 
+def _gram(vals: np.ndarray) -> np.ndarray:
+    """A = F'F, refused when finite but huge features overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = vals.T @ vals
+    if not np.isfinite(gram).all():
+        raise DomainError("features are too large: F'F overflows")
+    return gram
+
+
 def _gram_scale(a: np.ndarray) -> float | None:
     """max |A| of a usable Gram block A, else None: A is zero, not finite,
     or its singular values (A may not be symmetric) exceed the cond limit."""
@@ -209,8 +222,10 @@ def _gram_scale(a: np.ndarray) -> float | None:
 
 
 def _schur_pair(a: np.ndarray, b: np.ndarray):
-    """schur_inverse of one (A, B) pair: the stacked body's LAPACK calls
-    and tests on one item, raising at the first test that fails."""
+    """(V, C) of one (A, B) pair, for the closed forms: schur_inverse's
+    LAPACK calls and tests on one item, the tests on Python scalars, which
+    is faster than a stack of one. Raises DegenerateDesignError with the
+    REFUSALS message of the first test that fails."""
     a_max = _gram_scale(a)
     if a_max is None:
         raise DegenerateDesignError(REFUSALS[GRAM_REFUSED])
@@ -238,15 +253,15 @@ def moment_covariance(x_moments, w_moments, model: str = TWOLINE) -> CoefCovaria
     labels, order = model_spec(model)
     d = len(labels) // 2
     idx = _HANKEL[:d, :d]
-    var, cross = schur_inverse(_MOMENT_SCALE * np.asarray(x_moments, dtype=float)[idx],
-                               _MOMENT_SCALE * np.asarray(w_moments, dtype=float)[idx])
+    var, cross = _schur_pair(_MOMENT_SCALE * np.asarray(x_moments, dtype=float)[idx],
+                             _MOMENT_SCALE * np.asarray(w_moments, dtype=float)[idx])
     full = np.empty((2 * d, 2 * d))
     full[:d, :d] = full[d:, d:] = _MOMENT_SCALE * var
     full[:d, d:] = _MOMENT_SCALE * cross
     full[d:, :d] = full[:d, d:].T
     if order is not None:
         full = full[np.ix_(order, order)]
-    # var is symmetrized by schur_inverse and the cross blocks are each
+    # var is symmetrized by _schur_pair and the cross blocks are each
     # other's transposes, so full is exactly symmetric.
     return CoefCovariance._trusted(labels, full)
 

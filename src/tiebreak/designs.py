@@ -237,6 +237,7 @@ class SlidingScale:
     required (the |x| scale is a useful counterexample). Every scale is
     probed when built, and every value it returns is checked: one
     probability per x, finite and in [0, 1] up to 1e-12, or DomainError.
+    A value within that slack comes back clipped to [0, 1].
     """
 
     def __init__(self, func: Callable[[np.ndarray], np.ndarray],
@@ -302,10 +303,12 @@ class SlidingScale:
         out = np.asarray(self._func(arr), dtype=float)
         if out.shape != arr.shape:
             raise DomainError("a scale must return one probability per x")
-        if out.size and not (out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12):
-            raise DomainError("scale produced non-finite probabilities"
-                              if not np.isfinite(out).all()
-                              else "scale values must lie in [0, 1]")
+        if out.size and not (out.min() >= 0.0 and out.max() <= 1.0):
+            if not (out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12):
+                raise DomainError("scale produced non-finite probabilities"
+                                  if not np.isfinite(out).all()
+                                  else "scale values must lie in [0, 1]")
+            out = np.clip(out, 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
 
     @property

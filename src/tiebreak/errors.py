@@ -14,9 +14,5 @@ class DegenerateDesignError(Exception):
     """
 
 
-class RankDeficientError(DegenerateDesignError):
-    """A least-squares design matrix is numerically rank deficient."""
-
-
 class NoFeasibleDesignError(Exception):
     """A design search found no candidate with a well-conditioned covariance."""

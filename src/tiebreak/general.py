@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import NO_CONTROL, NO_TREATED, REFUSALS, schur_inverse
+from .covariance import (NO_CONTROL, NO_TREATED, REFUSALS, _gram, _schur_pair,
+                         schur_inverse)
 from .designs import ScoreThresholdRule, _read_table, _score_rule_axes, _step
 from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
 
@@ -86,25 +87,21 @@ def _feature_values(features) -> np.ndarray:
     return FeatureMatrix.from_array(features).values
 
 
-def _gram(vals: np.ndarray) -> np.ndarray:
-    """A = F'F, refused when finite but huge features overflow it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = vals.T @ vals
-    if not np.isfinite(gram).all():
-        raise DomainError("features are too large: F'F overflows")
-    return gram
-
-
 def _scores(vals: np.ndarray, thetas) -> np.ndarray:
     """Scores F theta of a block of directions, (T, n). Each row is its
     own vals @ theta, which one product over the block might round
-    otherwise; a block of one direction is a view of its row, not a copy."""
+    otherwise; a block of one direction is a view of its row, not a copy.
+    A score that overflows raises DomainError."""
     for theta in thetas:
         if len(theta) != vals.shape[1]:
             raise DomainError(f"theta has {len(theta)} entries for "
                               f"{vals.shape[1]} feature columns")
-    rows = [vals @ np.asarray(theta, dtype=float) for theta in thetas]
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [vals @ np.asarray(theta, dtype=float) for theta in thetas]
+    scores = rows[0][None] if len(rows) == 1 else np.stack(rows)
+    if not np.isfinite(scores).all():
+        raise DomainError("scores are too large: F theta overflows")
+    return scores
 
 
 def _check_score_rule(rule):
@@ -277,8 +274,8 @@ def evaluate_design(features, rule: ScoreThresholdRule) -> DesignEvaluation:
     = -A^-1 B Var(g-hat), per unit noise variance. A degenerate rule
     (everyone on one arm, or a collapsed Gram matrix) raises
     DegenerateDesignError with the reason the search counts it under,
-    and features so large that F'F overflows raise DomainError, as does
-    any rule but a ScoreThresholdRule.
+    and features so large that F'F or a score overflows raise
+    DomainError, as does any rule but a ScoreThresholdRule.
     """
     _check_score_rule(rule)
     vals = _feature_values(features)
@@ -293,7 +290,7 @@ def fully_randomized_covariance(features) -> np.ndarray:
     floor. Collinear features raise DegenerateDesignError, and features
     so large that F'F overflows DomainError."""
     a = _gram(_feature_values(features))
-    return schur_inverse(a, np.zeros_like(a))[0]
+    return _schur_pair(a, np.zeros_like(a))[0]
 
 
 @dataclass(frozen=True)
@@ -352,7 +349,7 @@ def design_search(features, thetas: Sequence[Sequence[float]],
     ties broken by candidate order. Raises NoFeasibleDesignError when
     nothing survives, so callers can distinguish an empty ranking from
     a bad argument, and DomainError, as evaluate_design does, for
-    features so large that F'F overflows.
+    features so large that F'F or a score overflows.
     """
     vals = _feature_values(features)
     # An empty stack checks the criterion and its contrast, as

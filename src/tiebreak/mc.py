@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # mc.TWOLINE and mc.QUADRATIC name the models for the CLI and other callers.
-from .covariance import (QUADRATIC, REFUSALS, TWOLINE, CoefCovariance,
+from .covariance import (QUADRATIC, REFUSALS, TWOLINE, CoefCovariance, _gram,
                          design_covariance, model_spec, schur_inverse)
 from .designs import (WINDOW_RULES, AssignmentDistribution, DesignRule,
                       SlidingScale, treatment_probability)
-from .errors import (DegenerateDesignError, DomainError, RankDeficientError)
+from .errors import DegenerateDesignError, DomainError
 
 SIMPLE_RANDOM = "simple-random"
 STRATIFIED_PAIRS = "stratified-pairs"
@@ -161,7 +161,10 @@ def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     blocks equal A = F'F, so only the cross block B depends on the
     replicate. This is the one-replicate case of the Monte Carlo's
     stacked fit: the statistics F'(zF), F'y and (zF)'y go through the
-    same Schur inverse, and a design it rejects raises RankDeficientError.
+    same Schur inverse. A design it rejects raises DegenerateDesignError
+    with the reason, as evaluate_design does. Features whose F'F
+    overflows raise DomainError, as the design search does, and so do
+    outcomes so large that the fit overflows.
     """
     f = np.ascontiguousarray(features, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -170,10 +173,14 @@ def ols_fit(features: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
             np.isfinite(f).all() and np.isfinite(y).all() and np.all(np.abs(z) == 1.0)):
         raise DomainError("need a non-empty n x d finite feature array, n arms of "
                           "+1 or -1 and n finite outcomes")
-    stats = _reduce(_products(f), f, z, y)
-    coefs, codes = _fit_stacked(f.T @ f, *(s[None] for s in stats))
+    gram = _gram(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = _reduce(_products(f), f, z, y)
+        coefs, codes = _fit_stacked(gram, *(s[None] for s in stats))
     if codes[0]:
-        raise RankDeficientError(REFUSALS[codes[0]])
+        raise DegenerateDesignError(REFUSALS[codes[0]])
+    if not np.isfinite(coefs).all():
+        raise DomainError("outcomes are too large: the fit overflows")
     return coefs[0]
 
 
@@ -184,7 +191,11 @@ def empirical_covariance(coefs: np.ndarray, n: int) -> np.ndarray:
         raise DomainError("need at least two replicates of coefficients")
     if not (np.isfinite(coefs).all() and np.isfinite(n) and n > 0):
         raise DomainError("coefficients must be finite and n positive")
-    return n * np.atleast_2d(np.cov(coefs, rowvar=False, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = n * np.atleast_2d(np.cov(coefs, rowvar=False, ddof=1))
+    if not np.isfinite(cov).all():
+        raise DomainError("coefficients are too large: their covariance overflows")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -321,7 +332,7 @@ def _replicate_fits(config: SimConfig):
         z = _draw_arms(rng, probs, config.scheme)
         y = _draw_outcomes(rng, config.n)
         bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)
-    coefs, codes = _fit_stacked(features.T @ features, bz, cf, cz)
+    coefs, codes = _fit_stacked(_gram(features), bz, cf, cz)
     order = model_spec(config.model)[1]
     if order is not None:
         coefs = coefs[:, order]

@@ -94,7 +94,7 @@ def symmetrize(scale: SlidingScale) -> SlidingScale:
     if scale.table is not None:
         knots = np.union1d(scale.table[0], -scale.table[0])
         vals = 0.5 * (scale(knots) + 1.0 - scale(-knots))
-        return SlidingScale.from_table(knots, np.clip(vals, 0.0, 1.0))
+        return SlidingScale.from_table(knots, vals)
     return SlidingScale(lambda x: 0.5 * (scale(x) + 1.0 - scale(-np.asarray(x, dtype=float))),
                         breakpoints=scale.breakpoints + tuple(-b for b in scale.breakpoints))
 

@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from tiebreak import mc
-from tiebreak.covariance import model_spec, schur_inverse
+from tiebreak.covariance import _schur_pair, model_spec
 from tiebreak.designs import SlidingScale
 from tiebreak.errors import DegenerateDesignError
 
@@ -99,7 +99,7 @@ def loop_replicate_fits(config: mc.SimConfig):
         b = f.T @ zf
         schur_cond[rep] = np.linalg.cond(a - b @ np.linalg.solve(a, b))
         try:
-            var, cross = schur_inverse(a, b)
+            var, cross = _schur_pair(a, b)
         except DegenerateDesignError:
             degenerate[rep] = True
             continue

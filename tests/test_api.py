@@ -5,7 +5,7 @@ import tiebreak
 PUBLIC = {
     "AssignmentDistribution", "CoefCovariance", "DegenerateDesignError",
     "DesignEvaluation", "DomainError", "FeatureMatrix", "IntervalRule",
-    "NoFeasibleDesignError", "QUADRATIC_LABELS", "RankDeficientError",
+    "NoFeasibleDesignError", "QUADRATIC_LABELS",
     "ScoreThresholdRule", "SearchReport", "SearchResult", "SimConfig",
     "SimReport", "SlidingScale", "SlidingVariances", "TWOLINE_LABELS",
     "ThreeLevelRule", "TieBreaker", "central_zx_mean", "closed_form_reference",
@@ -22,7 +22,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(tiebreak.__all__) == len(PUBLIC) == 53
+    assert len(tiebreak.__all__) == len(PUBLIC) == 52
     assert set(tiebreak.__all__) == PUBLIC
 
 

@@ -218,6 +218,15 @@ def _rule(parts):
     return tb.ScoreThresholdRule(*parts) if isinstance(parts, tuple) else parts
 
 
+def _quadratic_form(cov, weights):
+    """A covariance and its quadratic form in weights, or the DomainError
+    that refused the weights."""
+    try:
+        return cov, cov.quadratic_form(weights)
+    except tb.DomainError as exc:
+        return cov, exc
+
+
 def _search(features, thetas, deltas, ps, criterion, contrast):
     return tb.design_search(features, thetas, deltas, ps, criterion, contrast)
 
@@ -267,11 +276,12 @@ CONTRACT = {
         st.integers(1, 4).flatmap(lambda d: st.tuples(
             st.lists(st.text(max_size=2), min_size=d - 1, max_size=d + 1),
             st.lists(st.lists(real, min_size=d, max_size=d), min_size=d, max_size=d),
-            st.booleans())),
-        lambda labels, rows, sym: tb.CoefCovariance(
+            st.booleans(), st.lists(wide, min_size=d, max_size=d))),
+        lambda labels, rows, sym, weights: _quadratic_form(tb.CoefCovariance(
             labels, np.where(np.tri(len(rows), dtype=bool), rows, np.transpose(rows))
-            if sym else rows),
-        covariance),
+            if sym else rows), weights),
+        lambda out: (covariance(out[0]), isinstance(out[1], tb.DomainError)
+                     or expect(isinstance(out[1], float), out[1]))),
     "DesignEvaluation": (
         st.tuples(score_rules(3), st.sampled_from(CRITERIA + ("volume",)), contrasts),
         lambda rule, criterion, contrast: tb.evaluate_design(_GRID, rule).criterion_value(
@@ -424,18 +434,26 @@ _NOT_SCORE_RULES = [(_GRID, tb.TieBreaker(0.5)),
 # Finite features whose F'F overflows.
 _HUGE = np.array([[1.0, 1e200, -1e200], [1.0, -1e200, 1e200],
                   [1.0, 1e200, 1e200], [1.0, -1e200, -1e200]])
+# A feature row whose score under a finite theta overflows.
+_OVERFLOWING_SCORE = ([[1.0, 1e154, -1e154], [1.0, 0.0, 1.0]], ((0.0, 1e300, 1e300), 0.5))
 PINNED = {
     "AssignmentDistribution": [("uniform-rank", 2.5)],
+    "CoefCovariance": [(("a", "b"), [[1.7e308, 0.0], [0.0, 1.7e308]], False, [1.0, 0.0]),
+                       (("a", "b"), [[1e308, 1e308], [-1e308, 1e308]], False, [1.0, 0.0]),
+                       (("a", "b"), [[2.0, 0.0], [0.0, 2.0]], False, [1e200, 1e200]),
+                       (("a", "b"), [[2.0, 0.0], [0.0, 2.0]], False, [np.nan, 1.0])],
     "FeatureMatrix": [(np.ones((1, 2, 2)), False, True)],
     "SimReport": _SIGMA_RUNS,
     "SlidingScale": [(([np.nan, 0.0], [0.5, 0.5]), False)],
     "SearchReport": [("trace", None), ("contrast", [1.0, 0.0, 2.0])],
     "design_search": [(_HUGE, [(0.0, 1.0, 0.0)], [0.5], [0.5], "trace", None),
                       (_GRID, [(0.0, 1.0, 0.0)], [0.5, 2.0], [0.5], "log-det", None)],
-    "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan)],
+    "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan),
+                             ([[1e300, 0.0], [-1e300, 1.0], [0.0, 2.0]], 10)],
     "design_moments": [(_SPOILED, None)],
-    "evaluate_design": [(_HUGE, ((0.0, 1.0, 0.0), 0.5, 0.5))] + _NOT_SCORE_RULES,
-    "expected_weights": _NOT_SCORE_RULES,
+    "evaluate_design": [(_HUGE, ((0.0, 1.0, 0.0), 0.5, 0.5)), _OVERFLOWING_SCORE]
+    + _NOT_SCORE_RULES,
+    "expected_weights": [_OVERFLOWING_SCORE] + _NOT_SCORE_RULES,
     "experimentation_cost": [(0.5, 1e300, 1e300)],
     "full_covariance_sliding": [(_SPOILED,)],
     "fully_randomized_covariance": [(_HUGE,)],
@@ -443,7 +461,9 @@ PINNED = {
     "moment_determinant": [(_SPOILED,)],
     "ols_fit": [(np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, np.nan, 0.0]),
                 (np.ones((4, 0)), [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]),
-                (np.ones((0, 2)), [], []), (np.ones((1, 1)), [1.0], [0.0])],
+                (np.ones((0, 2)), [], []), (np.ones((1, 1)), [1.0], [0.0]),
+                (_HUGE, [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]),
+                (np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [1e308] * 4)],
     "optimal_delta": [(np.float64(1e308), np.float64(1e-308))],
     "run_simulation": _SIGMA_RUNS + [(dict(rule=_SPOILED, n=40, reps=20),)],
     "sliding_moments": [(_SPOILED,)],

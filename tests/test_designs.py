@@ -108,6 +108,8 @@ def test_rule_validation():
     for theta, delta in (((np.inf,), 0.5), ((1.0, np.nan), 0.5), ((1.0,), np.nan)):
         with pytest.raises(DomainError):
             ScoreThresholdRule(theta, delta)
+    with pytest.raises(DomainError, match="^unknown rule type str$"):
+        treatment_probability(0.0, "window")
 
 
 def test_tiebreaker_probability_regions():
@@ -226,6 +228,11 @@ def test_sliding_scale_from_callable_range_check():
         SlidingScale(lambda x: np.interp(x, xs, ps), xs, table=(xs, ps))
     scale = SlidingScale.from_callable(lambda x: 0.5 * (1 + np.tanh(2 * x)))
     assert 0.0 < scale(-0.3) < 0.5 < scale(0.3) < 1.0
+    # A value within the 1e-12 slack is accepted and comes back clipped.
+    for value, clipped in ((1.0 + 1e-13, 1.0), (-1e-13, 0.0)):
+        scale = SlidingScale(lambda x, v=value: np.full_like(x, v))
+        assert treatment_probability(0.0, scale) == clipped
+        assert np.all(scale(np.array([-0.5, 0.5])) == clipped)
 
 
 def test_scale_returning_one_value_for_an_array_is_refused():

@@ -30,6 +30,7 @@ def test_feature_matrix_from_csv(tmp_path):
     path.write_text("intercept,score\n1.0,0.5\n1.0,-0.25\n")
     fm = FeatureMatrix.from_csv(path)
     assert fm.names == ("intercept", "score")
+    assert (fm.n, fm.dim) == (2, 2)
     np.testing.assert_allclose(fm.values, [[1.0, 0.5], [1.0, -0.25]])
 
     raw = tmp_path / "raw.csv"
@@ -346,6 +347,11 @@ def test_a_contrast_is_refused_by_the_other_criteria():
             with pytest.raises(DomainError, match=f"^the {criterion} criterion takes "
                                                   "no contrast vector$"):
                 evaluation.criterion_value(criterion, contrast)
+    # A hand-built evaluation whose Var(g-hat) is indefinite has no log-det.
+    indefinite = DesignEvaluation(evaluation.rule, 8, np.diag([1.0, -1.0]),
+                                  evaluation.cov_cross)
+    with pytest.raises(DomainError, match="^interaction covariance is not positive definite$"):
+        indefinite.criterion_value("log-det")
 
 
 def test_design_search_no_feasible():

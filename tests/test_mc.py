@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from tiebreak import (AssignmentDistribution, CoefCovariance,
                       DegenerateDesignError, DomainError, IntervalRule,
-                      RankDeficientError, ScoreThresholdRule, SlidingScale,
-                      TieBreaker, mc)
-from tiebreak.covariance import schur_inverse
+                      ScoreThresholdRule, SlidingScale, TieBreaker, mc)
+from tiebreak.covariance import _schur_pair
 from tiebreak.twoline import covariance_gaussian
 from tiebreak.quadratic import covariance_quadratic
 
@@ -132,16 +131,21 @@ class TestOlsFit:
                                           (mc.QUADRATIC, 1.0, [3, 12])):
                 z = np.full(n, sign)
                 z[controls] = -1.0
-                with pytest.raises(RankDeficientError):
+                with pytest.raises(DegenerateDesignError):
                     mc.ols_fit(mc.design_matrix(x, model), z, np.zeros(n))
 
     def test_ill_conditioned_gram_is_rank_deficient(self):
         # F'F is finite but ill-conditioned, and B A^-1 B would overflow:
         # the fit is refused on A alone.
         x = 1e152 * np.array([1.0, -0.5, 0.25, 0.75, -1.0, 0.5])
-        with pytest.raises(RankDeficientError,
+        with pytest.raises(DegenerateDesignError,
                            match="^feature Gram matrix is ill-conditioned$"):
             mc.ols_fit(np.column_stack([np.ones(6), x]), [1, -1, 1, -1, 1, -1],
+                       np.arange(6.0))
+        # A hundred times larger, F'F itself overflows: refused as the
+        # design search refuses it, with no warning.
+        with pytest.raises(DomainError, match="^features are too large: F'F overflows$"):
+            mc.ols_fit(np.column_stack([np.ones(6), 100.0 * x]), [1, -1, 1, -1, 1, -1],
                        np.arange(6.0))
 
 
@@ -159,7 +163,7 @@ def test_ols_fit_is_in_regressor_order(data):
     full = np.hstack([f, z[:, None] * f])
     try:
         coef = mc.ols_fit(f, z, y)
-    except RankDeficientError:
+    except DegenerateDesignError:
         assert np.linalg.cond(full) > 1e5
         return
     np.testing.assert_allclose(coef, mgs_lstsq(full, y), rtol=1e-8,
@@ -183,7 +187,7 @@ def test_schur_blocks_invert_the_joint_gram(data):
     gram = np.block([[a, b], [b, a]])
     cond = np.linalg.cond(gram)
     try:
-        var, cross = schur_inverse(a, b)
+        var, cross = _schur_pair(a, b)
     except DegenerateDesignError:
         assert cond > 1e10
         return
@@ -213,7 +217,7 @@ def test_ols_fit_is_equivariant(data):
                                         max_size=2 * d)))
     try:
         base = mc.ols_fit(f, z, y)
-    except RankDeficientError:
+    except DegenerateDesignError:
         return
     moved = mc.ols_fit(f, z, y + f @ shift[:d] + z * (f @ shift[d:]))
     joint = np.hstack([f, z[:, None] * f])

@@ -7,7 +7,7 @@ from tiebreak.moments import sliding_moments
 from tiebreak.sliding import (equivalent_tiebreaker, full_covariance_sliding,
                               moment_determinant, symmetrize,
                               variances_sliding)
-from tiebreak.covariance import schur_inverse
+from tiebreak.covariance import _schur_pair
 from tiebreak.twoline import covariance_uniform
 
 from helpers import balanced_monotone_scale, sliding_variances
@@ -22,7 +22,7 @@ def test_determinant_matches_schur():
         mom = sliding_moments(scale)
         a = np.diag([1.0, 1.0 / 3.0])
         b = np.array([[mom.z_mean, mom.zx_mean], [mom.zx_mean, mom.zx2_mean]])
-        var, _ = schur_inverse(a, b)
+        var, _ = _schur_pair(a, b)
         assert moment_determinant(scale) == pytest.approx(1.0 / np.linalg.det(var),
                                                           abs=1e-12)
 

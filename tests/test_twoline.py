@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tiebreak.covariance import (ARMS_REFUSED, CONDITION_LIMIT, REFUSALS, CoefCovariance,
-                                 design_covariance, schur_inverse)
+                                 _schur_pair, design_covariance, schur_inverse)
 from tiebreak.designs import AssignmentDistribution, IntervalRule
 from tiebreak.errors import DegenerateDesignError, DomainError
 from tiebreak.twoline import (covariance_gaussian, covariance_uniform,
@@ -219,22 +219,22 @@ def test_moment_schur_central():
     # diag(1 - 3 f^2, 1/3 - f^2) and the cross block -A^-1 B V.
     a = np.diag([1.0, 1.0 / 3.0])
     b = np.array([[0.0, 0.375], [0.375, 0.0]])
-    var, cross = schur_inverse(a, b)
+    var, cross = _schur_pair(a, b)
     schur = np.diag([1.0 - 3.0 * 0.375 ** 2, 1.0 / 3.0 - 0.375 ** 2])
     assert var[0, 1] == var[1, 0] == 0.0
     np.testing.assert_allclose(var @ schur, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(cross, -np.linalg.solve(a, b) @ var, atol=1e-14)
     with pytest.raises(DegenerateDesignError, match="^design is ill-conditioned: "
                        "expected arms nearly reproduce the features$"):
-        schur_inverse(a, -a)
+        _schur_pair(a, -a)
     with pytest.raises(DegenerateDesignError,
                        match="^feature Gram matrix is ill-conditioned$"):
-        schur_inverse(np.diag([1.0, 1e-13]), b)
+        _schur_pair(np.diag([1.0, 1e-13]), b)
     with pytest.raises(DegenerateDesignError,
                        match="^feature Gram matrix is ill-conditioned$"):
-        schur_inverse(np.full((2, 2), np.inf), b)
+        _schur_pair(np.full((2, 2), np.inf), b)
     with pytest.raises(DegenerateDesignError, match="^singular normal equations$"):
-        schur_inverse(a, np.full((2, 2), np.nan))
+        _schur_pair(a, np.full((2, 2), np.nan))
 
 
 def test_stacked_schur_inverse_matches_each_item():
@@ -253,7 +253,7 @@ def test_stacked_schur_inverse_matches_each_item():
         assert var.shape == cross.shape == b.shape
         for k in range(len(b)):
             try:
-                want = schur_inverse(a, b[k])
+                want = _schur_pair(a, b[k])
             except DegenerateDesignError as exc:
                 assert REFUSALS[codes[k]] == str(exc)
                 assert np.isnan(var[k]).all() and np.isnan(cross[k]).all()
@@ -313,7 +313,7 @@ def test_one_pair_schur_inverse_equals_its_stack_of_one(kind, d, seed, log_tilt)
     a, b = _gram_pair(kind, d, seed, 10.0 ** log_tilt)
     var, cross, codes = schur_inverse(a, b[None])
     try:
-        got = schur_inverse(a, b)
+        got = _schur_pair(a, b)
     except DegenerateDesignError as exc:
         assert str(exc) == REFUSALS[codes[0]]
         return
@@ -334,7 +334,7 @@ def test_one_pair_schur_inverse_reasons():
         for d in (2, 3, 4):
             a, b = _gram_pair(kind, d, d, tilt)
             with pytest.raises(DegenerateDesignError, match=f"^{reason}$"):
-                schur_inverse(a, b)
+                _schur_pair(a, b)
             assert REFUSALS[schur_inverse(a, b[None])[2][0]] == reason
 
 
@@ -371,9 +371,9 @@ def test_schur_condition_by_eigenvalues_agrees_with_svd(d, seed, log_cond, negat
     assert [REFUSALS[c] for c in codes] == [None, reason]
     if refused:
         with pytest.raises(DegenerateDesignError, match=f"^{reason}$"):
-            schur_inverse(a, b)
+            _schur_pair(a, b)
     else:
-        schur_inverse(a, b)
+        _schur_pair(a, b)
 
 
 def test_engine_covariance_matches_public_constructor():
@@ -440,7 +440,13 @@ def test_covariance_container_validation():
         CoefCovariance(("a", "b"), np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(DegenerateDesignError):
         CoefCovariance(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(DomainError, match="^covariance matrix must be square$"):
+        CoefCovariance(("a", "b"), np.ones((2, 3)))
     cov = design_covariance(IntervalRule(-0.4, 0.4, 0.5))
+    with pytest.raises(DomainError, match="^unknown coefficient label 'beta9'$"):
+        cov.var("beta9")
+    with pytest.raises(DomainError, match="^weight vector length must equal dimension$"):
+        cov.quadratic_form([1.0, 2.0])
     assert cov.labels == ("beta0", "beta1", "beta2", "beta3")
     d = cov.to_dict()
     assert set(d) == {"labels", "matrix"}
