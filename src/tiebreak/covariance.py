@@ -68,7 +68,7 @@ def _check_finite(m: np.ndarray):
 
 def _check_definite(m: np.ndarray):
     eigs = np.linalg.eigvalsh(m)
-    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
+    if not eigs[0] > 1e-14 * eigs[-1]:
         raise DegenerateDesignError(
             "covariance is not positive definite (degenerate design)")
 
@@ -88,14 +88,17 @@ class CoefCovariance:
         if len(labels) != m.shape[0]:
             raise DomainError("label count must equal matrix dimension")
         _check_finite(m)
-        scale = max(1.0, float(np.abs(m).max()))
-        # Halves first, so that near the float limit neither the test nor
-        # the mean overflows; bitwise 0.5 (m +- m') everywhere else.
-        half = 0.5 * m
-        if np.abs(half - half.T).max() > 0.5 * _SYM_TOL * scale:
+        # Checked on its own scale, times the power of two that puts the largest
+        # entry in [0.5, 1): exact, so the stored mean is bitwise 0.5 m + 0.5 m'.
+        largest, exponent = math.frexp(float(np.abs(m).max()))
+        m = np.ldexp(m, -exponent)
+        if np.abs(m - m.T).max() > _SYM_TOL * largest:
             raise DomainError("covariance matrix is not symmetric")
-        m = half + half.T
+        m = 0.5 * m + 0.5 * m.T
         _check_definite(m)
+        if len(set(labels)) != len(labels):
+            raise DomainError("coefficient labels must be distinct")
+        m = np.ldexp(m, exponent)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", labels)
@@ -105,10 +108,10 @@ class CoefCovariance:
         """An engine-built covariance: labels a tuple of str, matrix a
         fresh, exactly symmetric square array that nothing else holds.
 
-        Copying, the symmetry test and 0.5 (m + m') are identities on such
-        a matrix and are skipped; the finiteness and positive-definiteness
-        tests run as in the public constructor. The matrix becomes
-        read-only.
+        Copying, the label and symmetry tests and 0.5 (m + m') are identities
+        on such a matrix and are skipped; the finiteness and definiteness
+        tests run unscaled, which decides alike when the largest eigenvalue
+        is at least 1, as for every engine-built one. The matrix is read-only.
         """
         _check_finite(matrix)
         _check_definite(matrix)

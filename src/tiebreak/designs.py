@@ -105,6 +105,17 @@ class AssignmentDistribution:
         return (-frac, frac)
 
 
+def _check_distribution(distribution) -> AssignmentDistribution:
+    """A distribution argument: None is the rank scale, and anything but an
+    AssignmentDistribution raises DomainError."""
+    if distribution is None:
+        return AssignmentDistribution.uniform_rank()
+    if not isinstance(distribution, AssignmentDistribution):
+        raise DomainError("distribution must be an AssignmentDistribution or None, "
+                          f"not {distribution!r}")
+    return distribution
+
+
 @dataclass(frozen=True)
 class TieBreaker:
     """Randomize the central fraction delta; treat the top, control the bottom.
@@ -178,10 +189,6 @@ class ScoreThresholdRule:
         _score_delta(self.delta)
         _check_p(self.p)
         object.__setattr__(self, "theta", theta)
-
-    @property
-    def theta_array(self) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)
 
 
 def _score_theta(theta) -> tuple[float, ...]:
@@ -331,8 +338,7 @@ def _step(x, lo, hi, bottom, mid, top):
 def _step_levels(rule, distribution: AssignmentDistribution | None = None):
     """(lo, hi, bottom, mid, top) of a window rule's treatment probability."""
     if isinstance(rule, (TieBreaker, ThreeLevelRule)):
-        dist = distribution or AssignmentDistribution.uniform_rank()
-        lo, hi = dist.central_window(rule.delta)
+        lo, hi = _check_distribution(distribution).central_window(rule.delta)
         if isinstance(rule, TieBreaker):
             return lo, hi, 0.0, rule.p, 1.0
         return lo, hi, rule.epsilon, 0.5, 1.0 - rule.epsilon
@@ -355,8 +361,9 @@ def treatment_probability(x, rule: DesignRule,
     to standard-gaussian scores raises DomainError, as does a non-finite x.
     """
     arr = _check_finite(x, "x")
+    distribution = _check_distribution(distribution)
     if isinstance(rule, SlidingScale):
-        if distribution is not None and distribution.kind == STANDARD_GAUSSIAN:
+        if distribution.kind == STANDARD_GAUSSIAN:
             raise DomainError("a sliding scale is defined on the rank scale "
                               "[-1, 1] and cannot assign standard-gaussian scores")
         out = rule(arr)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .covariance import (NO_CONTROL, NO_TREATED, REFUSALS, _gram, _schur_pair,
                          schur_inverse)
-from .designs import ScoreThresholdRule, _read_table, _score_rule_axes, _step
+from .designs import ScoreThresholdRule, _read_table, _score_rule_axes, _step, _step_levels
 from .errors import DegenerateDesignError, DomainError, NoFeasibleDesignError
 
 CRITERIA = ("trace", "log-det", "contrast")
@@ -117,7 +117,7 @@ def expected_weights(features, rule: ScoreThresholdRule) -> np.ndarray:
     +1 / -1 outside the window, 2p - 1 inside."""
     _check_score_rule(rule)
     scores = _scores(_feature_values(features), [rule.theta])[0]
-    return _step(scores, -rule.delta, rule.delta, -1.0, 2.0 * rule.p - 1.0, 1.0)
+    return 2.0 * _step(scores, *_step_levels(rule)) - 1.0
 
 
 # Subject-directions binned per _window_blocks call: a 500-row table bins
@@ -366,10 +366,10 @@ def design_search(features, thetas: Sequence[Sequence[float]],
         raise NoFeasibleDesignError(f"no feasible design among {len(codes)} "
                                     "candidates" + (f": {detail}" if detail else ""))
     values = _criterion(var[feasible], criterion, contrast)
-    theta_index, rest = np.divmod(feasible, len(deltas) * len(ps))
-    delta_index, p_index = np.divmod(rest, len(ps))
-    # Ascending by the key (value, theta, delta, p), which is total.
-    order = np.lexsort((p_index, delta_index, theta_index, values))
+    theta_index, delta_index, p_index = np.unravel_index(
+        feasible, (len(thetas), len(deltas), len(ps)))
+    # feasible is in candidate order, so a stable sort breaks ties by it.
+    order = np.argsort(values, kind="stable")
     ranked = feasible[order]
     return SearchReport(values[order], theta_index[order], delta_index[order],
                         p_index[order], var[ranked], cross[ranked], tuple(thetas),

@@ -33,7 +33,7 @@ import numpy as np
 from .covariance import (QUADRATIC, REFUSALS, TWOLINE, CoefCovariance, _gram,
                          design_covariance, model_spec, schur_inverse)
 from .designs import (WINDOW_RULES, AssignmentDistribution, DesignRule,
-                      SlidingScale, treatment_probability)
+                      SlidingScale, _check_distribution, treatment_probability)
 from .errors import DegenerateDesignError, DomainError
 
 SIMPLE_RANDOM = "simple-random"
@@ -82,16 +82,9 @@ def _draw_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.n
         return np.where(us < probs, 1.0, -1.0)
     z = np.where(probs >= 1.0, 1.0, -1.0)
     idx = np.flatnonzero(probs == 0.5)
-    npairs = idx.size // 2
-    if npairs:
-        firsts = idx[: 2 * npairs : 2]
-        seconds = idx[1 : 2 * npairs : 2]
-        first_treated = us[firsts] < 0.5
-        z[firsts] = np.where(first_treated, 1.0, -1.0)
-        z[seconds] = np.where(first_treated, -1.0, 1.0)
-    if idx.size % 2:
-        i = idx[-1]
-        z[i] = 1.0 if us[i] < 0.5 else -1.0
+    # A pair's first uniform decides both; an odd window's last is a pair of one.
+    heads = np.repeat(us[idx[::2]] < 0.5, 2)[: idx.size]
+    z[idx] = np.where(heads != (np.arange(idx.size) % 2 == 1), 1.0, -1.0)
     return z
 
 
@@ -226,6 +219,7 @@ class SimConfig:
         if not isinstance(self.rule, WINDOW_RULES + (SlidingScale,)):
             raise DomainError(f"cannot simulate a {type(self.rule).__name__}: "
                               "the simulator assigns arms on x")
+        object.__setattr__(self, "distribution", _check_distribution(self.distribution))
         for name in ("n", "reps", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import (WINDOW_RULES, AssignmentDistribution, SlidingScale,
-                      STANDARD_GAUSSIAN, ThreeLevelRule, UNIFORM_RANK, _step_levels)
+                      STANDARD_GAUSSIAN, ThreeLevelRule, UNIFORM_RANK, _check_distribution,
+                      _step_levels)
 from .errors import DomainError
 
 # Each segment between breakpoints is split into _GL_PANELS equal panels
@@ -152,7 +153,7 @@ def design_moments(rule, distribution: AssignmentDistribution | None = None
     Covers the window rules on the uniform rank and standard-gaussian
     scales and sliding scales on the rank scale.
     """
-    dist = distribution or AssignmentDistribution.uniform_rank()
+    dist = _check_distribution(distribution)
     if isinstance(rule, SlidingScale):
         if dist.kind == STANDARD_GAUSSIAN:
             raise DomainError("a sliding scale is defined on the rank scale "

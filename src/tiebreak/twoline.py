@@ -19,7 +19,7 @@ import numpy as np
 
 from .covariance import CoefCovariance, design_covariance
 from .designs import (UNIFORM_RANK, AssignmentDistribution, IntervalRule,
-                      TieBreaker, _check_finite)
+                      TieBreaker, _check_distribution, _check_finite)
 from .errors import DomainError
 from .moments import (_check_delta, _finite_result, central_zx_mean,
                       gaussian_zx_mean)
@@ -68,7 +68,7 @@ def var_gain_at_x(delta, x, distribution: AssignmentDistribution | None = None):
     """
     delta = _check_delta(delta)
     x = _check_finite(x, "x")
-    kind = (distribution or AssignmentDistribution.uniform_rank()).kind
+    kind = _check_distribution(distribution).kind
     with np.errstate(over="ignore"):
         if kind == UNIFORM_RANK:
             out = (16.0 * (1.0 + 3.0 * x * x)

@@ -69,13 +69,33 @@ def brute_design(features: np.ndarray, theta, delta: float, p: float):
     return w, a, b, joint
 
 
+def loop_arms(rng: np.random.Generator, probs: np.ndarray, scheme: str) -> np.ndarray:
+    """One replicate's arms, one uniform per subject, subject by subject:
+    simple-random treats where the uniform is below Pr(z = +1 | x);
+    stratified-pairs walks the fair-coin window pair by pair, the pair's
+    first uniform treating its first member (and the second the control)
+    or the other way round, and an odd window's last subject tosses its
+    own coin."""
+    us = rng.random(probs.size)
+    if scheme == mc.SIMPLE_RANDOM:
+        return np.where(us < probs, 1.0, -1.0)
+    z = np.where(probs >= 1.0, 1.0, -1.0)
+    idx = np.flatnonzero(probs == 0.5)
+    for k in range(0, idx.size - 1, 2):
+        first, second = idx[k], idx[k + 1]
+        z[first], z[second] = (1.0, -1.0) if us[first] < 0.5 else (-1.0, 1.0)
+    if idx.size % 2:
+        z[idx[-1]] = 1.0 if us[idx[-1]] < 0.5 else -1.0
+    return z
+
+
 def loop_replicate_fits(config: mc.SimConfig):
     """The Monte Carlo replicate loop with one least-squares fit per replicate.
 
     Per replicate: a new Philox keyed (seed, rep), independent of the
     simulator's one re-keyed Philox per run, then the arm draw from
-    the rule's probabilities, then the unit-noise draw (the outcomes; the
-    simulator applies sigma only to its finished report), then the
+    the rule's probabilities by loop_arms, then the unit-noise draw (the
+    outcomes; the simulator applies sigma only to its finished report), then the
     joint fit from F'(zF), F'y and (zF)'y through a 2-D Schur inverse, a
     refused design caught and marked. Returns the coefficients in natural
     order, by the model's permutation (NaN rows where degenerate), the
@@ -93,7 +113,7 @@ def loop_replicate_fits(config: mc.SimConfig):
     schur_cond = np.empty(config.reps)
     for rep in range(config.reps):
         rng = np.random.Generator(np.random.Philox(key=[config.seed, rep]))
-        z = mc._draw_arms(rng, probs, config.scheme)
+        z = loop_arms(rng, probs, config.scheme)
         y = rng.standard_normal(config.n)
         zf = z[:, None] * f
         b = f.T @ zf

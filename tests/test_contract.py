@@ -431,6 +431,8 @@ _SIGMA_RUNS = [(dict(rule=tb.TieBreaker(0.5), n=40, reps=20, sigma=sigma),)
 # The rules that assign on x, which a feature table refuses.
 _NOT_SCORE_RULES = [(_GRID, tb.TieBreaker(0.5)),
                     (_GRID, tb.SlidingScale.from_table([-1, 1], [0, 1]))]
+# Distribution arguments that are neither None nor an AssignmentDistribution.
+_BAD_DISTRIBUTIONS = ["standard-gaussian", "gauss"]
 # Finite features whose F'F overflows.
 _HUGE = np.array([[1.0, 1e200, -1e200], [1.0, -1e200, 1e200],
                   [1.0, 1e200, 1e200], [1.0, -1e200, -1e200]])
@@ -441,8 +443,14 @@ PINNED = {
     "CoefCovariance": [(("a", "b"), [[1.7e308, 0.0], [0.0, 1.7e308]], False, [1.0, 0.0]),
                        (("a", "b"), [[1e308, 1e308], [-1e308, 1e308]], False, [1.0, 0.0]),
                        (("a", "b"), [[2.0, 0.0], [0.0, 2.0]], False, [1e200, 1e200]),
-                       (("a", "b"), [[2.0, 0.0], [0.0, 2.0]], False, [np.nan, 1.0])],
+                       (("a", "b"), [[2.0, 0.0], [0.0, 2.0]], False, [np.nan, 1.0]),
+                       (("a", "b"), [[1.7e308, 1e308], [1e308, 1.7e308]], False, [1e-200, 0.0]),
+                       (("a", "b"), [[1e-300, 0.0], [0.0, 1e-300]], False, [1.0, 1.0]),
+                       (("a", "b"), [[1e-20, 1e-21], [0.0, 1e-20]], False, [1.0, 1.0]),
+                       (("a", "a"), np.eye(2), False, [1.0, 1.0])],
     "FeatureMatrix": [(np.ones((1, 2, 2)), False, True)],
+    "SimConfig": [(dict(rule=tb.TieBreaker(0.5), distribution=bad),)
+                  for bad in _BAD_DISTRIBUTIONS],
     "SimReport": _SIGMA_RUNS,
     "SlidingScale": [(([np.nan, 0.0], [0.5, 0.5]), False)],
     "SearchReport": [("trace", None), ("contrast", [1.0, 0.0, 2.0])],
@@ -450,6 +458,8 @@ PINNED = {
                       (_GRID, [(0.0, 1.0, 0.0)], [0.5, 2.0], [0.5], "log-det", None)],
     "empirical_covariance": [([[0.0, 1.0], [1.0, 0.0]], np.nan),
                              ([[1e300, 0.0], [-1e300, 1.0], [0.0, 2.0]], 10)],
+    "design_covariance": [(tb.IntervalRule(-0.5, 0.5), bad, TWOLINE)
+                          for bad in _BAD_DISTRIBUTIONS],
     "design_moments": [(_SPOILED, None)],
     "evaluate_design": [(_HUGE, ((0.0, 1.0, 0.0), 0.5, 0.5)), _OVERFLOWING_SCORE]
     + _NOT_SCORE_RULES,
@@ -465,13 +475,17 @@ PINNED = {
                 (_HUGE, [1.0, -1.0, 1.0, -1.0], [0.0, 1.0, 0.0, 1.0]),
                 (np.ones((4, 1)), [1.0, -1.0, 1.0, -1.0], [1e308] * 4)],
     "optimal_delta": [(np.float64(1e308), np.float64(1e-308))],
-    "run_simulation": _SIGMA_RUNS + [(dict(rule=_SPOILED, n=40, reps=20),)],
+    "run_simulation": _SIGMA_RUNS + [(dict(rule=_SPOILED, n=40, reps=20),),
+                                     (dict(rule=tb.TieBreaker(0.5), distribution=None,
+                                           n=50, reps=5),)],
     "sliding_moments": [(_SPOILED,)],
-    "treatment_probability": [((np.nan,), tb.SlidingScale.from_table([-1, 1], [0, 1]), None)],
+    "treatment_probability": [((np.nan,), tb.SlidingScale.from_table([-1, 1], [0, 1]), None)]
+    + [((0.1,), tb.IntervalRule(-0.5, 0.5), bad) for bad in _BAD_DISTRIBUTIONS],
     "value": [(0.5, 1.0, [1.0, 2.0], 0.0), (0.5, 1.0, np.array([1.0, 2.0]), 0.0),
               (0.5, 1.0, 1.7e308, 1.7e308)],
     "var_gain_at_x": [((0.5, 1e200), None),
-                      ((0.5, 1e200), tb.AssignmentDistribution.standard_gaussian())],
+                      ((0.5, 1e200), tb.AssignmentDistribution.standard_gaussian())]
+    + [((0.5, 0.0), bad) for bad in _BAD_DISTRIBUTIONS],
     "var_gain_quadratic": [(0.5, (1e200,))],
 }
 
@@ -507,3 +521,20 @@ def test_public_contract(name):
         holds = example(args)(holds)
     settings(max_examples=10, deadline=None, derandomize=True, database=None)(
         given(arguments)(holds))()
+
+
+def test_distribution_arguments_are_checked():
+    # None is the rank scale everywhere; anything but an
+    # AssignmentDistribution is refused, never ignored or crashed on.
+    config = tb.SimConfig(tb.TieBreaker(0.5), distribution=None, n=50, reps=5)
+    assert config.distribution == tb.AssignmentDistribution.uniform_rank()
+    assert tb.run_simulation(config).to_dict()["distribution"] == "uniform-rank"
+    window = tb.IntervalRule(-0.5, 0.5)
+    for bad in _BAD_DISTRIBUTIONS:
+        for call in (lambda: tb.SimConfig(tb.TieBreaker(0.5), distribution=bad),
+                     lambda: tb.design_covariance(window, bad),
+                     lambda: tb.design_moments(window, bad),
+                     lambda: tb.var_gain_at_x(0.5, 0.0, bad),
+                     lambda: tb.treatment_probability(0.1, window, bad)):
+            with pytest.raises(tb.DomainError, match="AssignmentDistribution"):
+                call()

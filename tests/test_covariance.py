@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tiebreak import (AssignmentDistribution, DegenerateDesignError, IntervalRule,
-                      design_covariance)
+import pytest
+
+from tiebreak import (AssignmentDistribution, CoefCovariance, DegenerateDesignError,
+                      DomainError, IntervalRule, design_covariance)
 from tiebreak.covariance import QUADRATIC, TWOLINE, schur_inverse
 
 EPS = np.finfo(float).eps
@@ -38,6 +40,32 @@ def test_mirrored_window_flips_the_odd_coefficients(edges, p, distribution, mode
     signs = MIRROR_SIGNS[model]
     bound = 8.0 * np.linalg.cond(sigma) * EPS * np.abs(sigma).max()
     assert np.abs(mirrored - signs @ sigma @ signs).max() <= bound
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.7e308, 1e308], [1e308, 1.7e308]],  # eigenvalues 7e307 and 2.7e308
+    [[1e-300, 0.0], [0.0, 1e-300]],
+    [[3.0, 1.0 + 1e-13], [1.0, 2.0]],
+])
+def test_coef_covariance_is_checked_on_its_own_scale(matrix):
+    m = np.array(matrix)
+    np.testing.assert_array_equal(CoefCovariance(("a", "b"), m).matrix, 0.5 * m + 0.5 * m.T)
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    ([[1e-20, 1e-21], [0.0, 1e-20]], DomainError, "not symmetric"),
+    ([[0.0, 0.0], [0.0, 0.0]], DegenerateDesignError, "not positive definite"),
+    ([[1.0, 2.0], [2.0, 1.0]], DegenerateDesignError, "not positive definite"),
+    ([[2e-15, 0.0], [0.0, 1.0]], DegenerateDesignError, "not positive definite"),
+])
+def test_coef_covariance_refuses_on_its_own_scale(matrix, error, message):
+    with pytest.raises(error, match=message):
+        CoefCovariance(("a", "b"), matrix)
+
+
+def test_coef_covariance_labels_are_distinct():
+    with pytest.raises(DomainError, match="distinct"):
+        CoefCovariance(("a", "a"), np.eye(2))
 
 
 def _mp_schur_inverse(a, b):

@@ -357,6 +357,6 @@ def test_expected_weights_are_twice_the_probability_less_one(delta, p, extra, sl
     fm = FeatureMatrix.from_array(np.column_stack([np.ones_like(scores), scores]))
     for theta in ((0.0, 1.0), (0.25, slope)):
         rule = ScoreThresholdRule(theta, delta, p)
-        s = fm.values @ rule.theta_array
+        s = fm.values @ np.asarray(rule.theta, dtype=float)
         np.testing.assert_array_equal(expected_weights(fm, rule),
                                       2.0 * treatment_probability(s, rule) - 1.0)

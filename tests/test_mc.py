@@ -11,7 +11,7 @@ from tiebreak.covariance import _schur_pair
 from tiebreak.twoline import covariance_gaussian
 from tiebreak.quadratic import covariance_quadratic
 
-from helpers import (loop_replicate_fits, mgs_lstsq, twoline_gram,
+from helpers import (loop_arms, loop_replicate_fits, mgs_lstsq, twoline_gram,
                      uniform_tiebreaker_covariance)
 
 
@@ -70,6 +70,21 @@ class TestSampleAssignment:
         npairs = idx.size // 2
         pair_sums = z[idx[:2 * npairs:2]] + z[idx[1:2 * npairs:2]]
         np.testing.assert_array_equal(pair_sums, np.zeros(npairs))
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3, 51])
+    def test_stratified_pairs_match_the_pairwise_loop(self, window):
+        # The window's subjects scattered among deterministic arms; both
+        # draws consume the same uniforms, so the next one agrees too.
+        rng = np.random.default_rng(window)
+        probs = rng.choice([0.0, 1.0], 40 + window)
+        probs[np.sort(rng.choice(probs.size, window, replace=False))] = 0.5
+        for seed in range(10):
+            got, want = (np.random.Generator(np.random.Philox(key=[seed, 1]))
+                         for _ in range(2))
+            np.testing.assert_array_equal(
+                mc._draw_arms(got, probs, mc.STRATIFIED_PAIRS),
+                loop_arms(want, probs, mc.STRATIFIED_PAIRS))
+            assert got.random() == want.random()
 
     def test_stratified_rejects_biased_coin(self, monkeypatch):
         x = AssignmentDistribution.uniform_rank().points(50)
@@ -359,6 +374,15 @@ class TestRunSimulation:
                                           4.0 * getattr(rep1, name))
         np.testing.assert_array_equal(rep2.coef_mean, 2.0 * rep1.coef_mean)
         assert rep2.max_dev_se == rep1.max_dev_se
+
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-8, 1e100])
+    def test_report_matrices_are_covariances(self, sigma):
+        # Checked on their own scale, however small or large sigma^2 is.
+        report = mc.run_simulation(mc.SimConfig(rule=TieBreaker(0.5), n=40, reps=20,
+                                                sigma=sigma))
+        for matrix in (report.reference, report.empirical):
+            np.testing.assert_array_equal(CoefCovariance(report.labels, matrix).matrix,
+                                          0.5 * matrix + 0.5 * matrix.T)
 
     def test_degenerate_design_raises(self):
         # Four subjects all inside the window: about one replicate in
