@@ -85,6 +85,8 @@ class CoefCovariance:
         labels = tuple(str(s) for s in self.labels)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("covariance matrix must be square")
+        if m.size == 0:
+            raise DomainError("covariance matrix must not be empty")
         if len(labels) != m.shape[0]:
             raise DomainError("label count must equal matrix dimension")
         _check_finite(m)

@@ -11,9 +11,11 @@ one-replicate case of that fit. The replicate streams are counter-based:
 replicate r of a run seeded s draws the stream of
 Generator(Philox(key=[s, r])), so any replicate can be reproduced alone,
 the full run is independent of execution order, and two runs with the
-same seed agree bit for bit. A run builds one Philox and re-keys it in
-place before each replicate, which draws the same stream without
-seeding a new generator each time.
+same seed agree bit for bit. Each worker of a run builds one Philox and
+re-keys it in place before each replicate, which draws the same stream
+without seeding a new generator each time. At large n the replicates
+split into contiguous ranges, one thread each; a run's output never
+depends on how many threads ran it.
 
 Within a replicate the draw order is fixed: one uniform per subject for
 the arms, then one unit normal per subject for the noise. sigma never
@@ -25,6 +27,7 @@ its unit-noise report once, exactly, and SimConfig accepts sigma only in
 from __future__ import annotations
 
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +47,8 @@ DEGENERATE_FRACTION_LIMIT = 0.01
 # Replicates per stacked Schur inverse: the fit's temporaries stay a few
 # (block, d, d) stacks however many replicates a run has.
 _FIT_BLOCK = 1024
+
+_SUBJECTS_PER_WORKER = 2000  # per replicate-loop thread: a measured crossover, see _replicate_fits
 
 
 def design_matrix(x: np.ndarray, model: str = TWOLINE) -> np.ndarray:
@@ -222,9 +227,15 @@ class SimConfig:
         object.__setattr__(self, "distribution", _check_distribution(self.distribution))
         for name in ("n", "reps", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise DomainError(f"{name} must be an integer")
             object.__setattr__(self, name, int(value))
+        if not isinstance(self.sigma, numbers.Real) or isinstance(self.sigma, bool):
+            raise DomainError("sigma must be a real number")
+        try:
+            object.__setattr__(self, "sigma", float(self.sigma))
+        except OverflowError:
+            raise DomainError("sigma must lie in [1e-100, 1e100]") from None
         model_spec(self.model)
         if self.scheme not in (SIMPLE_RANDOM, STRATIFIED_PAIRS):
             raise DomainError(f"unknown assignment scheme {self.scheme!r}")
@@ -308,11 +319,21 @@ def _replicate_fits(config: SimConfig):
 
     The loop only draws and reduces: the arm probabilities and the
     products F_j F_l are fixed for the run, each replicate's stream is
-    the run's one Philox re-keyed to (seed, rep) by _replicate_streams,
+    its worker's one Philox re-keyed to (seed, rep) by _replicate_streams,
     and each replicate leaves three rows of sufficient statistics. The
     fit then runs stacked, once per block of replicates, and the model's
     permutation puts its coefficients in natural order. Degenerate rows
     are NaN.
+
+    The draws release the GIL and the per-replicate Python work holds it,
+    so the loop takes one worker per _SUBJECTS_PER_WORKER subjects, at
+    most one per CPU this process may run on. On a 2-CPU VM two threads
+    were slower than one up to n = 2000, broke even at 3000 and were about
+    1.2x faster at 4000. One worker runs the loop in the calling thread;
+    more run contiguous replicate ranges in a thread pool that ends with
+    the call. Each writes only its own rows, a worker's exception is
+    raised here, and nothing in the loop depends on np.errstate, which
+    worker threads do not inherit.
     """
     x = config.distribution.points(config.n)
     features = np.ascontiguousarray(design_matrix(x, config.model))
@@ -322,10 +343,20 @@ def _replicate_fits(config: SimConfig):
     bz = np.empty((config.reps, d * d))
     cf = np.empty((config.reps, d))
     cz = np.empty((config.reps, d))
-    for rep, rng in _replicate_streams(config.seed, range(config.reps)):
-        z = _draw_arms(rng, probs, config.scheme)
-        y = _draw_outcomes(rng, config.n)
-        bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)
+    def fill(reps):
+        for rep, rng in _replicate_streams(config.seed, reps):
+            z = _draw_arms(rng, probs, config.scheme)
+            y = _draw_outcomes(rng, config.n)
+            bz[rep], cf[rep], cz[rep] = _reduce(products, features, z, y)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cpus or 1, config.n // _SUBJECTS_PER_WORKER))
+    if workers == 1:
+        fill(range(config.reps))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here: serial runs skip its import
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, np.array_split(np.arange(config.reps), workers)))
     coefs, codes = _fit_stacked(_gram(features), bz, cf, cz)
     order = model_spec(config.model)[1]
     if order is not None:

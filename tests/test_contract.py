@@ -311,7 +311,8 @@ CONTRACT = {
             criterion, contrast)),
         lambda out: ranking(out[2], out[0], out[1])),
     "SimConfig": (st.tuples(sim_parts()), lambda parts: tb.SimConfig(**parts),
-                  lambda out: expect(isinstance(out.n, int), out.sigma)),
+                  lambda out: expect(type(out.n) is type(out.reps) is type(out.seed) is int
+                                     and type(out.sigma) is float, out.sigma)),
     "SimReport": (
         st.tuples(sim_parts()), lambda parts: tb.run_simulation(tb.SimConfig(**parts)).to_dict(),
         lambda out: json.dumps(out, allow_nan=False)),
@@ -447,10 +448,14 @@ PINNED = {
                        (("a", "b"), [[1.7e308, 1e308], [1e308, 1.7e308]], False, [1e-200, 0.0]),
                        (("a", "b"), [[1e-300, 0.0], [0.0, 1e-300]], False, [1.0, 1.0]),
                        (("a", "b"), [[1e-20, 1e-21], [0.0, 1e-20]], False, [1.0, 1.0]),
-                       (("a", "a"), np.eye(2), False, [1.0, 1.0])],
+                       (("a", "a"), np.eye(2), False, [1.0, 1.0]),
+                       ((), np.zeros((0, 0)), False, [])],
     "FeatureMatrix": [(np.ones((1, 2, 2)), False, True)],
     "SimConfig": [(dict(rule=tb.TieBreaker(0.5), distribution=bad),)
-                  for bad in _BAD_DISTRIBUTIONS],
+                  for bad in _BAD_DISTRIBUTIONS]
+    + [(dict(rule=tb.TieBreaker(0.5), sigma=bad),)
+       for bad in ("1", None, 2 + 0j, True, np.float32(2.0))]
+    + [(dict(rule=tb.TieBreaker(0.5), **{name: True}),) for name in ("n", "reps", "seed")],
     "SimReport": _SIGMA_RUNS,
     "SlidingScale": [(([np.nan, 0.0], [0.5, 0.5]), False)],
     "SearchReport": [("trace", None), ("contrast", [1.0, 0.0, 2.0])],

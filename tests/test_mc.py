@@ -1,12 +1,19 @@
+import dataclasses
+import itertools
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from tiebreak import (AssignmentDistribution, CoefCovariance,
                       DegenerateDesignError, DomainError, IntervalRule,
                       ScoreThresholdRule, SlidingScale, TieBreaker, mc)
+from tiebreak.cli import main
 from tiebreak.covariance import _schur_pair
 from tiebreak.twoline import covariance_gaussian
 from tiebreak.quadratic import covariance_quadratic
@@ -465,6 +472,126 @@ class TestReplicateStreams:
         want, want_degenerate, _ = loop_replicate_fits(config)
         np.testing.assert_array_equal(degenerate, want_degenerate)
         assert _column_relative_gap(coefs, want) < 1e-12
+
+
+def _force_workers(monkeypatch, cpus):
+    """Make the replicate loop take min(cpus, n) workers at any n: one
+    worker runs it in the calling thread, more in a thread pool."""
+    monkeypatch.setattr(mc, "_SUBJECTS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _report_fields(report):
+    """Every SimReport field but the config, arrays as (dtype, shape, bytes)."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {name: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for name, v in fields.items() if name != "config"}
+
+
+_TABLE_SCALE = SlidingScale.from_table([-1.0, -0.2, 0.3, 1.0], [0.05, 0.3, 0.8, 0.95])
+
+
+class TestThreadedLoop:
+    """Replicate ranges on worker threads, each with its own re-keyed
+    Philox, give bit for bit the report of the loop in one thread."""
+
+    @pytest.mark.parametrize("config", [
+        mc.SimConfig(rule=TieBreaker(0.5), n=60, reps=7, seed=1),
+        mc.SimConfig(rule=TieBreaker(1.0), model=mc.QUADRATIC, n=61, reps=9, seed=2),
+        mc.SimConfig(rule=TieBreaker(0.5), n=61, reps=2, seed=3,
+                     scheme=mc.STRATIFIED_PAIRS),
+        mc.SimConfig(rule=TieBreaker(0.5), model=mc.QUADRATIC, n=80, reps=11, seed=4,
+                     scheme=mc.STRATIFIED_PAIRS),
+        mc.SimConfig(rule=IntervalRule(-0.3, 0.6), n=50, reps=8, seed=5, sigma=2.5,
+                     distribution=AssignmentDistribution.standard_gaussian()),
+        mc.SimConfig(rule=_TABLE_SCALE, model=mc.QUADRATIC, n=70, reps=5, seed=6),
+    ])
+    def test_threaded_report_is_the_serial_report(self, monkeypatch, config):
+        ranges = []
+        streams = mc._replicate_streams
+
+        def recorded(seed, reps):
+            ranges.append((threading.current_thread(), [int(r) for r in reps]))
+            return streams(seed, reps)
+
+        monkeypatch.setattr(mc, "_replicate_streams", recorded)
+        _force_workers(monkeypatch, 1)
+        serial = mc.run_simulation(config)
+        assert ranges == [(threading.current_thread(), list(range(config.reps)))]
+        ranges.clear()
+        _force_workers(monkeypatch, 3)
+        threaded = mc.run_simulation(config)
+        # Three contiguous ranges in replicate order, none run by the caller.
+        assert len(ranges) == 3
+        assert sum((reps for _, reps in ranges), []) == list(range(config.reps))
+        assert threading.current_thread() not in {thread for thread, _ in ranges}
+        assert _report_fields(threaded) == _report_fields(serial)
+        assert json.dumps(threaded.to_dict()) == json.dumps(serial.to_dict())
+
+    def test_many_workers_under_fast_switching(self, monkeypatch):
+        # More workers than cores, switching threads every microsecond: a
+        # row written by the wrong worker, or lost, would change the fits.
+        config = mc.SimConfig(rule=TieBreaker(0.5), model=mc.QUADRATIC, n=40, reps=64, seed=4)
+        _force_workers(monkeypatch, 1)
+        serial = mc._replicate_fits(config)
+        _force_workers(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = mc._replicate_fits(config)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("reps", [2, 37])
+    def test_a_threaded_run_builds_one_philox_per_worker(self, monkeypatch, reps):
+        philox = np.random.Philox
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        config = mc.SimConfig(rule=TieBreaker(0.5), n=40, reps=reps, seed=9)
+        _force_workers(monkeypatch, 3)
+        monkeypatch.setattr(np.random, "Philox", counted)
+        coefs, degenerate = mc._replicate_fits(config)
+        # With 2 replicates one of the 3 workers has an empty range.
+        assert len(built) == 3
+        monkeypatch.undo()
+        want, want_degenerate, _ = loop_replicate_fits(config)
+        np.testing.assert_array_equal(degenerate, want_degenerate)
+        assert _column_relative_gap(coefs, want) < 1e-12
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        calls = itertools.count()
+        draw_outcomes = mc._draw_outcomes
+
+        def fails_once(rng, n):
+            if next(calls) == 5:
+                raise Boom
+            return draw_outcomes(rng, n)
+
+        _force_workers(monkeypatch, 3)
+        monkeypatch.setattr(mc, "_draw_outcomes", fails_once)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            mc.run_simulation(mc.SimConfig(rule=TieBreaker(0.5), n=40, reps=7, seed=9))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_cli_defaults_print_the_same_bytes(self, monkeypatch, out):
+        runner = CliRunner()
+        _force_workers(monkeypatch, 1)
+        serial = runner.invoke(main, ["simulate", "--out", out])
+        _force_workers(monkeypatch, 3)
+        threaded = runner.invoke(main, ["simulate", "--out", out])
+        assert serial.exit_code == threaded.exit_code == 0
+        assert threaded.stdout_bytes == serial.stdout_bytes
 
 
 def _column_relative_gap(got, want):

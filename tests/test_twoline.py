@@ -442,6 +442,8 @@ def test_covariance_container_validation():
         CoefCovariance(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DomainError, match="^covariance matrix must be square$"):
         CoefCovariance(("a", "b"), np.ones((2, 3)))
+    with pytest.raises(DomainError, match="^covariance matrix must not be empty$"):
+        CoefCovariance((), np.zeros((0, 0)))
     cov = design_covariance(IntervalRule(-0.4, 0.4, 0.5))
     with pytest.raises(DomainError, match="^unknown coefficient label 'beta9'$"):
         cov.var("beta9")
